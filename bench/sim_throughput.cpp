@@ -1,8 +1,8 @@
 /**
  * @file
  * Simulator-throughput benchmark: how many simulated memory operations
- * per host second the per-access hot path (System::step ->
- * NestedWalker::translate -> Cache::access) sustains.
+ * per host second the per-access hot path (System::step_batch ->
+ * NestedWalker::translate_l1_missed -> Cache::access) sustains.
  *
  * Not a paper figure: this measures the *simulator itself*, so hot-path
  * refactors have a tracked perf trajectory. It drives the mixed
@@ -72,9 +72,9 @@ main(int argc, char **argv)
                                .with_scale(smoke ? 0.05 : 0.4)
                                .with_measure_ops(smoke ? 20'000 : 2'000'000)
                                .with_warmup_ops(smoke ? 5'000 : 100'000);
-    // Throughput configuration: a coarser scheduling quantum and a deep
-    // walk register file so dispatch batches actually reach the WRF
-    // depth (the experiment default slice_ops=2 caps batches at 2 ops).
+    // Throughput configuration: a coarser scheduling quantum and the
+    // deepest dispatch batch, so batches actually reach that depth (the
+    // experiment default slice_ops=2 caps batches at 2 ops).
     // The bench measures simulator speed, not a paper figure, so the
     // interleave change is free.
     mixed.platform.slice_ops = 64;
@@ -143,29 +143,6 @@ main(int argc, char **argv)
             ++failures;
         }
     }
-
-    // Stage breakdown side-run: same scenario at reduced length with the
-    // host-side stage timers armed. Separate from the headline legs so
-    // the clock reads never perturb the reported throughput.
-    ScenarioConfig timed = mixed;
-    timed.platform.stage_timing = true;
-    timed.with_measure_ops(smoke ? 5'000 : 400'000)
-        .with_warmup_ops(smoke ? 1'000 : 50'000);
-    ScenarioResult timed_result = run_scenario(timed);
-    const StageTimes &stages = timed_result.stage_times;
-    if (stages.total_ns() > 0) {
-        double total = static_cast<double>(stages.total_ns());
-        std::printf("sim_throughput: stages    dispatch=%.1f%% "
-                    "walk=%.1f%% retire=%.1f%% stats=%.1f%% "
-                    "(side-run, %llu ops)\n",
-                    100.0 * static_cast<double>(stages.dispatch_ns) / total,
-                    100.0 * static_cast<double>(stages.walk_ns) / total,
-                    100.0 * static_cast<double>(stages.retire_ns) / total,
-                    100.0 * static_cast<double>(stages.stats_ns) / total,
-                    static_cast<unsigned long long>(
-                        timed_result.total_ops));
-    }
-    check(stages.total_ns() > 0, "stage timers recorded the side-run");
 
     if (failures == 0)
         std::printf("sim_throughput: OK (%s mode)\n",

@@ -129,8 +129,7 @@ NestedWalker::walk_guest_once(GuestContext &guest, std::uint64_t gvpn,
         return walk_guest_radix(guest, gvpn, result);
 
     // Resumable descent through the step cursor: one level at a time,
-    // so each level closes its own pipeline round (note_round) the
-    // moment its accesses are charged.
+    // each level's accesses charged as it is reached.
     pt::TranslationTable &table = *guest.page_table;
     pt::StepCursor &cur = guest_cursor_;
     table.walk_begin(gvpn, cur);
@@ -172,9 +171,6 @@ NestedWalker::walk_guest_once(GuestContext &guest, std::uint64_t gvpn,
             stats_.guest_pt_mem_accesses.inc();
             stats_.guest_pt_level_mem.record(step.level);
         }
-
-        // One guest level (nested host sub-walk included) = one round.
-        note_round(result);
 
         if (!step.pte.present()) {
             // Guest page fault: the guest kernel allocates and maps.
@@ -250,9 +246,6 @@ NestedWalker::walk_guest_radix(GuestContext &guest, std::uint64_t gvpn,
             stats_.guest_pt_level_mem.record(cur.level());
         }
 
-        // One guest level (nested host sub-walk included) = one round.
-        note_round(result);
-
         pt::Pte pte = cur.pte();
         if (!pte.present()) {
             // Guest page fault: the guest kernel allocates and maps.
@@ -287,11 +280,9 @@ NestedWalker::walk_to_completion(GuestContext &guest, std::uint64_t gvpn,
         if (!data_gfn)
             continue;  // faulted; PT changed; retry
 
-        // Final host walk: translate the data page itself — the last
-        // pipeline round of the walk.
+        // Final host walk: translate the data page itself.
         result.gfn = *data_gfn;
         result.hfn = host_translate(*data_gfn, result);
-        note_round(result);
         tlb_.insert(gvpn, result.hfn);
         return;
     }
@@ -304,27 +295,15 @@ NestedWalker::translate(GuestContext &guest, Addr gva)
     if (guest.page_table == nullptr || !guest.fault_handler)
         ptm_fatal("translate() needs a complete guest context");
 
-    TranslationResult result;
     stats_.translations.inc();
-
-    std::uint64_t gvpn = page_number(gva);
-    if (std::optional<std::uint64_t> hfn = tlb_.lookup_l1(gvpn)) {
+    if (std::optional<std::uint64_t> hfn = tlb_.lookup_l1(page_number(gva))) {
         stats_.tlb_l1_hits.inc();
+        TranslationResult result;
         result.hfn = *hfn;
         result.tlb_hit = true;
         return result;
     }
-    if (std::optional<std::uint64_t> hfn = tlb_.lookup_l2_fill_l1(gvpn)) {
-        stats_.tlb_l2_hits.inc();
-        result.hfn = *hfn;
-        result.tlb_hit = true;
-        result.cycles = kStlbHitPenalty;
-        return result;
-    }
-
-    walk_to_completion(guest, gvpn, result);
-    stats_.walk_cycles_hist.record(result.walk_cycles);
-    return result;
+    return translate_l1_missed(guest, gva);
 }
 
 TranslationResult
@@ -340,17 +319,8 @@ NestedWalker::translate_l1_missed(GuestContext &guest, Addr gva)
         return result;
     }
 
-    // Issue the walk into the register file before it starts, so the
-    // per-level pipeline rounds stream into the slot as the walk
-    // advances; its histogram entry is recorded when end_batch()
-    // retires the batch in program order.
-    WalkRegisterFile::Slot &slot = wrf_.allocate();
-    active_slot_ = &slot;
-    round_mark_ = 0;
     walk_to_completion(guest, gvpn, result);
-    active_slot_ = nullptr;
-    slot.walk_cycles = result.walk_cycles;
-    slot.fault_cycles = result.cycles - result.walk_cycles;
+    stats_.walk_cycles_hist.record(result.walk_cycles);
     return result;
 }
 
@@ -388,7 +358,8 @@ NestedWalker::register_stats(obs::StatRegistry &registry,
                        &stats_.guest_pt_level_mem, scope);
     registry.histogram(w + ".host_pt_level_mem",
                        &stats_.host_pt_level_mem, scope);
-    wrf_.register_stats(registry, w);
+    registry.counter(w + ".wrf.batches", &stats_.batches, scope);
+    registry.counter(w + ".wrf.batched_ops", &stats_.batched_ops, scope);
 
     tlb_.register_stats(registry, prefix);
     pwc_.register_stats(registry, prefix);

@@ -23,7 +23,6 @@
 #include "cache/hierarchy.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "mmu/walk_register_file.hpp"
 #include "obs/stat_registry.hpp"
 #include "pt/translation_table.hpp"
 #include "tlb/tlb.hpp"
@@ -123,6 +122,8 @@ struct WalkerStats {
     Counter guest_faults;
     Counter host_faults;
     Counter fault_cycles;          ///< cycles inside kernel fault handlers
+    Counter batches;               ///< dispatch batches closed (end_batch)
+    Counter batched_ops;           ///< ops dispatched through batches
     /// Hardware walk cycles per TLB-missing translation (log2 buckets).
     Histogram walk_cycles_hist;
     /// Guest-PT step (radix level, or probe number for hashed tables) of
@@ -154,16 +155,10 @@ class NestedWalker {
     //
     // The dispatcher issues a batch of independent translations in
     // program order: it probes the L1 TLB inline via lookup_l1() (the
-    // ~75% fast path — no call, no TranslationResult), falls into
-    // translate_l1_missed() on a miss, and closes the batch with
-    // end_batch(), which flushes the deferred per-op counters and
-    // retires the walk register file (latency histograms, occupancy,
-    // overlap credit). Counter sums and orders are identical to calling
-    // translate() per op; see walk_register_file.hpp for why issue stays
-    // in program order.
-
-    /// Open a dispatch batch (resets the walk register file).
-    void begin_batch() { wrf_.begin_batch(); }
+    // ~75% fast path, no call), falls into translate_l1_missed() on a
+    // miss, and closes the batch with end_batch(), which flushes the
+    // deferred per-op counters. Counter sums are identical to calling
+    // translate() per op.
 
     /// Inline L1-TLB probe. On a hit the caller counts it locally and
     /// passes the total to end_batch(); a hit costs 0 cycles, like the
@@ -175,27 +170,22 @@ class NestedWalker {
     }
 
     /**
-     * Slow path of a batched translation whose L1 probe missed: L2 TLB,
-     * else the full 2D walk, which is issued into the walk register file
-     * (its latency histogram entry is recorded at end_batch() retire,
-     * not here). Does not touch the translations/tlb_l1_hits counters —
-     * those are flushed by end_batch().
+     * Slow path of a translation whose L1 probe missed: L2 TLB, else the
+     * full 2D walk (its latency histogram entry is recorded here). Does
+     * not touch the translations/tlb_l1_hits counters — translate()
+     * counts those itself, the batched dispatcher via end_batch().
      */
     TranslationResult translate_l1_missed(GuestContext &guest, Addr gva);
 
-    /**
-     * Close the batch: flush @p ops deferred translations and @p l1_hits
-     * deferred L1 hits, retire the register file in program order.
-     * @return the overlap credit (cycles the batch's walks save when
-     *         charged as critical path instead of serially); the caller
-     *         applies it only in overlapped-timing mode.
-     */
-    Cycles
+    /// Close a batch: flush @p ops deferred translations and @p l1_hits
+    /// deferred L1 hits.
+    void
     end_batch(std::uint64_t ops, std::uint64_t l1_hits)
     {
         stats_.translations.inc(ops);
         stats_.tlb_l1_hits.inc(l1_hits);
-        return wrf_.retire(stats_.walk_cycles_hist, ops);
+        stats_.batches.inc();
+        stats_.batched_ops.inc(ops);
     }
 
     /**
@@ -216,12 +206,7 @@ class NestedWalker {
 
     unsigned core() const { return core_; }
     const WalkerStats &stats() const { return stats_; }
-    void
-    reset_stats()
-    {
-        stats_ = WalkerStats{};
-        wrf_.reset_stats();
-    }
+    void reset_stats() { stats_ = WalkerStats{}; }
 
     /// Register walker counters + latency histograms under
     /// "<prefix>.walker.*" (Measurement scope: cleared between the init
@@ -233,7 +218,6 @@ class NestedWalker {
     tlb::TlbHierarchy &tlb() { return tlb_; }
     tlb::PageWalkCache &pwc() { return pwc_; }
     tlb::NestedTlb &nested_tlb() { return nested_tlb_; }
-    const WalkRegisterFile &walk_register_file() const { return wrf_; }
 
   private:
     /// One attempt at walking the guest PT; returns the leaf data gfn or
@@ -256,37 +240,13 @@ class NestedWalker {
     void walk_to_completion(GuestContext &guest, std::uint64_t gvpn,
                             TranslationResult &result);
 
-    /**
-     * Close the current pipeline round of the active walk: charge the
-     * hardware walk cycles accumulated since the previous boundary to
-     * the next round of the walk's register-file slot. A no-op on the
-     * serial path (no active slot). Rounds are per guest PT level (each
-     * including its nested host sub-walk) plus one for the final host
-     * walk of the data page, and keep accumulating across fault
-     * retries; only the overlapped-timing retire reads them.
-     */
-    void
-    note_round(const TranslationResult &result)
-    {
-        if (active_slot_ == nullptr)
-            return;
-        active_slot_->add_round(result.walk_cycles - round_mark_);
-        round_mark_ = result.walk_cycles;
-    }
-
     unsigned core_;
     cache::MemoryHierarchy *hierarchy_;
     HostContext host_;
     tlb::TlbHierarchy tlb_;
     tlb::PageWalkCache pwc_;
     tlb::NestedTlb nested_tlb_;
-    WalkRegisterFile wrf_;
     WalkerStats stats_;
-    // Streaming round state of the in-flight batched walk: the slot is
-    // allocated before the walk starts so per-level rounds can be
-    // recorded as the walk advances; null on the serial path.
-    WalkRegisterFile::Slot *active_slot_ = nullptr;
-    Cycles round_mark_ = 0;
     // Reusable step cursors: translate() is called once per simulated
     // op, so the cursor blobs live here instead of being re-created per
     // walk (guest and host walks overlap — host_translate runs mid

@@ -428,9 +428,6 @@ struct ScenarioResult {
     // state: excluded from the determinism comparisons) ---------------
     /// Host wall-clock seconds run_scenario took, warmup/init included.
     double host_seconds = 0.0;
-    /// Dispatch-loop stage breakdown (all zeros unless the run's
-    /// platform.stage_timing was set — bench-only instrumentation).
-    StageTimes stage_times;
     /// Simulated operations executed across all jobs, all phases.
     std::uint64_t total_ops = 0;
     /// Simulator throughput of this leg, in simulated ops per host second.

@@ -56,22 +56,6 @@ struct JobStats {
 
 class System;
 
-/// Host-nanosecond breakdown of the batched dispatch loop, accumulated
-/// only when PlatformConfig::stage_timing is set (host-side provenance,
-/// never simulated state).
-struct StageTimes {
-    std::uint64_t dispatch_ns = 0;  ///< workload next_batch fills
-    std::uint64_t walk_ns = 0;      ///< TLB probes + 2D walks + faults
-    std::uint64_t retire_ns = 0;    ///< data-cache access per op
-    std::uint64_t stats_ns = 0;     ///< end-of-batch counter flushes
-
-    std::uint64_t
-    total_ns() const
-    {
-        return dispatch_ns + walk_ns + retire_ns + stats_ns;
-    }
-};
-
 /**
  * One guest VM sharing the host: its host-side instance, guest kernel,
  * walker fault context, and degradation record. Slots are append-only —
@@ -291,22 +275,19 @@ class System {
     Job &fork_job(Job &parent,
                   std::unique_ptr<workload::Workload> workload);
 
-    /// Execute exactly one operation of @p job (test / tracing hook).
-    void step(Job &job);
-
     // ---- functional fast-forward (replay init phases) ---------------
     //
-    // In functional mode step() applies each operation's *mapping-state*
-    // effects only: COW breaks, guest page faults, and host lazy backing
-    // run through the same kernel paths in the same order as a detailed
-    // run, but no TLB, cache, or cycle state is touched. The scenario
-    // runner uses it to fast-forward a .ptt replay through its recorded
-    // warmup/init phases and drop into the detailed model at the
-    // init-end marker (ScenarioConfig::replay_fast_forward); see
-    // step_functional() for why the resulting mapping state is
+    // In functional mode run_until() applies each operation's
+    // *mapping-state* effects only: COW breaks, guest page faults, and
+    // host lazy backing run through the same kernel paths in the same
+    // order as a detailed run, but no TLB, cache, or cycle state is
+    // touched. The scenario runner uses it to fast-forward a .ptt replay
+    // through its recorded warmup/init phases and drop into the detailed
+    // model at the init-end marker (ScenarioConfig::replay_fast_forward);
+    // see step_functional() for why the resulting mapping state is
     // bit-identical to a detailed run's.
 
-    /// Enter/leave functional mode (affects step() and run_until()).
+    /// Enter/leave functional mode (affects run_until()).
     void set_functional_mode(bool on) { functional_mode_ = on; }
     bool functional_mode() const { return functional_mode_; }
 
@@ -314,20 +295,6 @@ class System {
     /// hierarchy: the cold-start state both a fast-forwarded and a
     /// cold_measurement run measure from.
     void flush_microarch();
-
-    /**
-     * Execute up to @p max_ops operations of @p job as one dispatch
-     * batch through the walk register file: fetch a batch from the
-     * workload, issue each op's translation + data access in program
-     * order (L1-TLB hits inline), retire the batch, flush counters once.
-     * End-of-run metrics are identical to calling step() per op.
-     * @return ops executed; 0 marks the job finished.
-     *
-     * Preconditions (run_until enforces them; direct callers must too):
-     * no trace sink armed and the job not COW-capable — both need the
-     * per-op serial path.
-     */
-    unsigned step_batch(Job &job, unsigned max_ops);
 
     /**
      * Round-robin over non-paused, non-finished jobs in slices of
@@ -338,9 +305,8 @@ class System {
      * Within a slice, ops are dispatched in batches of
      * min(walk_batch, remaining slice) through step_batch(); batches
      * never cross slice boundaries, so scheduling interleave and the
-     * stop-check points are identical at every batch depth. Jobs that
-     * need per-op handling (armed trace sink, COW-capable process) take
-     * the serial step() path.
+     * stop-check points are identical at every batch depth. Functional
+     * mode steps op by op through step_functional() instead.
      *
      * The job vector is never mutated from inside this loop: churn
      * boots/forks happen in churn_tick() between calls, and OOM kills
@@ -350,26 +316,23 @@ class System {
     void
     run_until(Stop &&stop)
     {
-        const bool batched =
-            (batch_depth_ > 1 || config_.stage_timing) &&
-            trace_ == nullptr && !functional_mode_;
         while (!stop()) {
             bool any_alive = false;
             for (auto &job : jobs_) {
                 if (job->finished_ || job->paused_)
                     continue;
                 any_alive = true;
-                if (batched && !job->cow_possible_) {
+                if (functional_mode_) {
+                    for (unsigned i = 0;
+                         i < config_.slice_ops && !job->finished_; ++i) {
+                        step_functional(*job);
+                    }
+                } else {
                     unsigned left = config_.slice_ops;
                     while (left > 0 && !job->finished_) {
                         unsigned want =
                             left < batch_depth_ ? left : batch_depth_;
                         left -= step_batch(*job, want);
-                    }
-                } else {
-                    for (unsigned i = 0;
-                         i < config_.slice_ops && !job->finished_; ++i) {
-                        step(*job);
                     }
                 }
                 if (stop())
@@ -442,10 +405,6 @@ class System {
     /// the churn schedule is keyed on.
     std::uint64_t total_steps() const { return total_steps_; }
 
-    /// Dispatch-loop stage breakdown (all zeros unless
-    /// config.stage_timing is set). Host-side, never reset.
-    const StageTimes &stage_times() const { return stage_times_; }
-
     std::vector<std::unique_ptr<Job>> &jobs() { return jobs_; }
 
     /// True when a job slot (free core) is available for a new job.
@@ -499,8 +458,19 @@ class System {
     void churn_kill();
     void churn_fork();
 
-    template <bool Timed>
-    unsigned step_batch_impl(Job &job, unsigned max_ops);
+    /// Upper bound on PlatformConfig::walk_batch.
+    static constexpr unsigned kMaxBatch = 32;
+
+    /**
+     * Execute up to @p max_ops (<= kMaxBatch) operations of @p job, which
+     * must not be finished, as one dispatch batch: fetch the ops from the
+     * workload, run each one's COW break, translation and data access in
+     * program order (L1-TLB hits inline), then flush the job's counters
+     * once. State a kernel path can read mid-batch (the trace clock,
+     * total_steps()) advances per op, so any depth matches depth 1.
+     * @return ops executed; 0 marks the job finished.
+     */
+    unsigned step_batch(Job &job, unsigned max_ops);
 
     /// One functional-mode operation: mapping-state effects only.
     void step_functional(Job &job);
@@ -525,10 +495,11 @@ class System {
     obs::StatRegistry registry_;
     obs::TraceSink *trace_ = nullptr;      ///< normally unarmed
     FaultInjector *injector_ = nullptr;    ///< normally unarmed
-    /// min(config.walk_batch, register-file capacity), at least 1.
+    /// min(config.walk_batch, kMaxBatch), at least 1.
     unsigned batch_depth_ = 1;
+    /// step_batch()'s op buffer: a member, so no call re-initializes it.
+    workload::MemOp batch_ops_[kMaxBatch];
     bool functional_mode_ = false;
-    StageTimes stage_times_;
     /// Never registered: survives reset_measurement() as the denominator
     /// of the simulator-throughput metric.
     std::uint64_t total_steps_ = 0;

@@ -61,9 +61,10 @@ class Workload {
     virtual std::optional<MemOp> next(WorkloadContext &ctx) = 0;
 
     /**
-     * Batched generation for the overlapped dispatcher: fill @p out with
-     * up to @p max ops and return the number produced; 0 means the
-     * workload completed (exactly when next() would return nullopt).
+     * Batched generation for the dispatcher (System::step_batch): fill
+     * @p out with up to @p max ops and return the number produced; 0
+     * means the workload completed (exactly when next() would return
+     * nullopt).
      *
      * Batch-transparency contract: the concatenation of ops and context
      * interactions across repeated next_batch() calls must equal the
