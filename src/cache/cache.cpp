@@ -23,7 +23,11 @@ Cache::Cache(const CacheGeometry &geometry, Rng *rng)
 
     switch (geometry_.replacement) {
       case ReplacementKind::Lru:
-        repl_words_ = ways_;
+        if (ways_ > kMaxLruWays)
+            ptm_fatal("%s: %u LRU ways exceed the u8 rank row (max %u)",
+                      geometry_.name.c_str(), ways_, kMaxLruWays);
+        rank_lanes_ = (ways_ + 15) / 16 * 16;
+        repl_words_ = rank_lanes_ / 8;
         break;
       case ReplacementKind::TreePlru:
         plru_leaves_ = 1;
@@ -42,18 +46,16 @@ Cache::Cache(const CacheGeometry &geometry, Rng *rng)
     set_stride_ = tag_words_ + repl_words_;
 
     slab_.assign(static_cast<std::size_t>(num_sets_) * set_stride_, 0);
-    hint_.assign(num_sets_, 0);
-    live_.assign(num_sets_, 0);
     reset_tags();
 }
 
 void
 Cache::reset_tags()
 {
-    // Tags to the empty sentinel, replacement state and the hint/live
-    // accelerators to zero. Stale replacement state is never consulted:
-    // a set refills through the empty-way scan, and every install
-    // touches its way first.
+    // Tags to the empty sentinel, replacement state to zero, then LRU
+    // ranks to the identity permutation (way w has rank w). Stale
+    // replacement order is never consulted: a set refills through the
+    // empty-way scan, and every install touches its way first.
     for (std::uint64_t set = 0; set < num_sets_; ++set) {
         std::uint32_t *tags = set_tags(set);
         for (unsigned w = 0; w < 2 * tag_words_; ++w)
@@ -61,8 +63,8 @@ Cache::reset_tags()
         std::uint64_t *repl = set_repl(set);
         for (unsigned r = 0; r < repl_words_; ++r)
             repl[r] = 0;
-        hint_[set] = 0;
-        live_[set] = 0;
+        for (unsigned w = 0; w < rank_lanes_ && w < ways_; ++w)
+            set_ranks(set)[w] = static_cast<std::uint8_t>(w);
     }
     memo_line_ = ~0ULL;
 }
@@ -95,10 +97,8 @@ Cache::invalidate(std::uint64_t line)
     const std::uint32_t tag = tag_of(line);
     std::uint32_t *tags = set_tags(set);
     const unsigned w = simd::find_u32(tags, ways_, tag);
-    if (w < ways_) {
+    if (w < ways_)
         tags[w] = kInvalidTag;
-        --live_[set];
-    }
 }
 
 void
@@ -124,8 +124,10 @@ std::uint64_t
 Cache::resident_lines() const
 {
     std::uint64_t n = 0;
-    for (std::uint64_t set = 0; set < num_sets_; ++set)
-        n += live_of(set);
+    for (std::uint64_t set = 0; set < num_sets_; ++set) {
+        for (unsigned w = 0; w < ways_; ++w)
+            n += set_tags(set)[w] != kInvalidTag;
+    }
     return n;
 }
 

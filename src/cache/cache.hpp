@@ -5,10 +5,10 @@
  * The simulator only needs hit/miss behaviour and eviction order, never
  * line contents. The tag store is a single contiguous slab laid out
  * set-major: each set's tags are immediately followed by its replacement
- * state (LRU stamps or tree-PLRU direction bits), so one lookup touches
- * one short run of host cache lines — index arithmetic only, no per-set
- * objects, no pointers to chase. The MRU-hint way and occupancy count
- * live in dense per-set byte arrays that stay host-L1 resident.
+ * state (a row of u8 LRU recency ranks, or tree-PLRU direction bits), so
+ * one lookup touches one short run of host cache lines — index
+ * arithmetic only, no per-set objects, no side arrays, no pointers to
+ * chase.
  *
  * Tags are stored as 32 bits: a tag
  * is line >> log2(sets) and modeled physical memory is bounded far
@@ -91,6 +91,8 @@ class Cache {
     /// simulated physical space is orders of magnitude under that bound
     /// (2^38 bytes even for a single-set cache).
     static constexpr std::uint32_t kInvalidTag = ~0U;
+    /// Most ways an LRU set may have: its ranks must fit in a u8.
+    static constexpr unsigned kMaxLruWays = 256;
 
     /// @param rng required only for random replacement; may be null.
     Cache(const CacheGeometry &geometry, Rng *rng = nullptr);
@@ -115,22 +117,10 @@ class Cache {
         }
         const std::uint64_t set = line & (num_sets_ - 1);
         const std::uint32_t tag = tag_of(line);
-        std::uint32_t *tags = set_tags(set);
-        // MRU shortcut: a tag lives in at most one way of its set, so
-        // probing the last-hit way first cannot change the outcome —
-        // and temporal locality makes it the common case.
-        const unsigned hint = hint_of(set);
-        if (tags[hint] == tag) {
-            touch(set, hint);
-            stats_.hits[static_cast<unsigned>(kind)].inc();
-            memo_line_ = line;
-            return true;
-        }
         // Empty ways hold kInvalidTag, so the tag compare alone decides:
         // no separate valid-bit load on the hot scan.
-        const unsigned w = simd::find_u32_hot(tags, ways_, tag);
+        const unsigned w = simd::find_u32(set_tags(set), ways_, tag);
         if (w < ways_) {
-            set_hint(set, w);
             touch(set, w);
             stats_.hits[static_cast<unsigned>(kind)].inc();
             memo_line_ = line;
@@ -189,13 +179,9 @@ class Cache {
     {
         return reinterpret_cast<const std::uint32_t *>(set_base(set));
     }
-    /// Replacement state of @p set (stamps or PLRU bits), right after
+    /// Replacement state of @p set (rank row or PLRU bits), right after
     /// its tags.
     std::uint64_t *set_repl(std::uint64_t set)
-    {
-        return set_base(set) + tag_words_;
-    }
-    const std::uint64_t *set_repl(std::uint64_t set) const
     {
         return set_base(set) + tag_words_;
     }
@@ -210,12 +196,14 @@ class Cache {
                       static_cast<unsigned long long>(line));
         return static_cast<std::uint32_t>(tag);
     }
-    unsigned hint_of(std::uint64_t set) const { return hint_[set]; }
-    void set_hint(std::uint64_t set, unsigned way)
+    /// The set's LRU rank row: one u8 per way (0 = MRU, ways-1 = LRU,
+    /// always a permutation), padded to whole 16-byte vectors so the
+    /// SIMD helpers never take their scalar tail. Pad lanes are scratch:
+    /// they follow every real way, so a first-match scan never picks one.
+    std::uint8_t *set_ranks(std::uint64_t set)
     {
-        hint_[set] = static_cast<std::uint8_t>(way);
+        return reinterpret_cast<std::uint8_t *>(set_repl(set));
     }
-    unsigned live_of(std::uint64_t set) const { return live_[set]; }
 
     /// Set every way of every set to kInvalidTag and clear replacement
     /// state (construction / flush).
@@ -226,9 +214,14 @@ class Cache {
     touch(std::uint64_t set, unsigned way)
     {
         switch (geometry_.replacement) {
-          case ReplacementKind::Lru:
-            set_repl(set)[way] = ++clock_;
+          case ReplacementKind::Lru: {
+            // Move-to-front: every way more recent than `way` ages by
+            // one.
+            std::uint8_t *ranks = set_ranks(set);
+            simd::age_below_u8(ranks, rank_lanes_, ranks[way]);
+            ranks[way] = 0;
             return;
+          }
           case ReplacementKind::TreePlru: {
             // Walk from root to the leaf for `way`, pointing each node
             // away from the path taken (nodes 1..leaves-1 used).
@@ -256,9 +249,11 @@ class Cache {
     {
         switch (geometry_.replacement) {
           case ReplacementKind::Lru:
-            // True LRU: smallest stamp wins, lowest way on ties — the
-            // min_index_u64 contract.
-            return simd::min_index_u64(set_repl(set), ways_);
+            // True LRU: the rank-(ways-1) way. victim() only runs on a
+            // full set, whose every way was touched since the last
+            // reset, so rank order is exactly use order (no ties).
+            return simd::find_u8(set_ranks(set), rank_lanes_,
+                                 static_cast<std::uint8_t>(ways_ - 1));
           case ReplacementKind::TreePlru: {
             // Follow the pointers; clamp to a valid way for
             // non-power-of-two configurations.
@@ -285,17 +280,11 @@ class Cache {
     install(std::uint64_t set, std::uint32_t tag)
     {
         // Prefer the first empty way; otherwise evict the policy's
-        // victim. Sets fill once and stay full, so the occupancy count
-        // skips the empty-way scan in steady state.
-        unsigned w;
-        if (live_[set] < ways_) {
-            w = simd::find_u32(set_tags(set), ways_, kInvalidTag);
-            ++live_[set];
-        } else {
+        // victim.
+        unsigned w = simd::find_u32(set_tags(set), ways_, kInvalidTag);
+        if (w == ways_)
             w = victim(set);
-        }
         set_tags(set)[w] = tag;
-        hint_[set] = static_cast<std::uint8_t>(w);
         touch(set, w);
     }
 
@@ -305,23 +294,14 @@ class Cache {
     unsigned ways_;
     /// u64 words holding the set's ways_ packed u32 tags: ceil(ways/2).
     unsigned tag_words_;
-    /// u64 words of replacement state per set: ways (LRU stamps),
+    /// u64 words of replacement state per set: rank_lanes_ / 8 (LRU),
     /// plru_leaves_ (tree bits), or 0 (random).
     unsigned repl_words_;
     unsigned set_stride_;  ///< tag_words_ + repl_words_
     unsigned plru_leaves_ = 0;  ///< ways rounded up to a power of two
-    std::uint64_t clock_ = 0;
+    unsigned rank_lanes_ = 0;   ///< LRU rank row bytes: ceil(ways/16)*16
     Rng *rng_;
     std::vector<std::uint64_t> slab_;
-    /// Last-hit way per set (MRU shortcut) and occupied-way count per
-    /// set. Deliberately dense side arrays rather than words inside the
-    /// slab: at one byte / two bytes per set they stay resident in the
-    /// host's L1 across the whole simulation, while a per-set metadata
-    /// word would sit on a cold slab line of its own. Both are pure
-    /// lookup accelerators — they never affect replacement decisions or
-    /// metrics.
-    std::vector<std::uint8_t> hint_;
-    std::vector<std::uint16_t> live_;
     /// Line of the most recent access (resident and MRU by construction);
     /// ~0 when no such guarantee holds. Cleared by fill/invalidate/flush
     /// because they can change residency behind the memo's back.

@@ -7,12 +7,11 @@
  * probe is "find the first lane equal to a needle in a short array".
  * This header provides exactly that, per lane width:
  *
- *  - find_u32() / find_u64(): the selected backend per width;
- *  - find_u32_scalar() / find_u64_scalar(): the reference loops, always
+ *  - find_u8() / find_u32() / find_u64(), and age_below_u8() (LRU rank
+ *    aging for cache::Cache): the selected backend;
+ *  - the same names with a _scalar suffix: the reference loops, always
  *    compiled, so property tests can compare the vector paths against
- *    them in the same binary;
- *  - min_index_u64(): branchless first-minimum scan (LRU victim /
- *    insert), shared by all backends.
+ *    them in the same binary.
  *
  * Backend selection is compile-time only: SSE2 is baseline on x86-64 and
  * NEON on AArch64, so no runtime dispatch is needed. Width matters:
@@ -100,6 +99,25 @@ find_u64_scalar(const std::uint64_t *keys, unsigned n,
             return w;
     }
     return n;
+}
+
+inline unsigned
+find_u8_scalar(const std::uint8_t *keys, unsigned n, std::uint8_t needle)
+{
+    for (unsigned w = 0; w < n; ++w) {
+        if (keys[w] == needle)
+            return w;
+    }
+    return n;
+}
+
+/// Every lane of ranks[0..n) below @p rank grows by one: with the
+/// touched lane then set to 0, LRU move-to-front on a rank permutation.
+inline void
+age_below_u8_scalar(std::uint8_t *ranks, unsigned n, std::uint8_t rank)
+{
+    for (unsigned w = 0; w < n; ++w)
+        ranks[w] = static_cast<std::uint8_t>(ranks[w] + (ranks[w] < rank));
 }
 
 #if defined(PTM_SIMD_SSE2)
@@ -229,38 +247,61 @@ find_u64(const std::uint64_t *keys, unsigned n, std::uint64_t needle)
 
 #endif
 
-/**
- * The scan used by the *inlined hot lookup* (cache::Cache::access).
- * Deliberately the scalar early-exit loop on every backend: measured
- * in situ, the vector scan costs ~25% of end-to-end simulator
- * throughput on a Broadwell-class Xeon even though it wins a tight
- * microbenchmark of the probe alone — inside the large inlined access
- * path the unaligned 16-byte loads and mask-merge chain lose to eight
- * well-predicted 4-byte compares that the core can speculate past.
- * Decision-identical to find_u32 by the probe contract, so the choice
- * is pure performance tuning; the vector path still serves the cold
- * call sites (install/fill/probe/invalidate) and stays pinned to the
- * scalar reference by the property tests.
- */
+/// 8-bit lanes: 16 per vector compare, then the scalar tail (which
+/// cache::Cache's padded rank rows never reach on a vector backend).
 inline unsigned
-find_u32_hot(const std::uint32_t *keys, unsigned n, std::uint32_t needle)
+find_u8(const std::uint8_t *keys, unsigned n, std::uint8_t needle)
 {
-    return find_u32_scalar(keys, n, needle);
+    unsigned w = 0;
+#if defined(PTM_SIMD_SSE2)
+    const __m128i want = _mm_set1_epi8(static_cast<char>(needle));
+    for (; w + 16 <= n; w += 16) {
+        const unsigned mask = static_cast<unsigned>(_mm_movemask_epi8(
+            _mm_cmpeq_epi8(_mm_loadu_si128(
+                               reinterpret_cast<const __m128i *>(keys + w)),
+                           want)));
+        if (mask)
+            return w + static_cast<unsigned>(std::countr_zero(mask));
+    }
+#elif defined(PTM_SIMD_NEON)
+    const uint8x16_t want = vdupq_n_u8(needle);
+    for (; w + 16 <= n; w += 16) {
+        // Shift-narrow the compare to 4 mask bits per lane, in order.
+        const uint8x16_t eq = vceqq_u8(vld1q_u8(keys + w), want);
+        const std::uint64_t mask = vget_lane_u64(
+            vreinterpret_u64_u8(vshrn_n_u16(vreinterpretq_u16_u8(eq), 4)),
+            0);
+        if (mask)
+            return w + static_cast<unsigned>(std::countr_zero(mask)) / 4;
+    }
+#endif
+    return w + find_u8_scalar(keys + w, n - w, needle);
 }
 
-/**
- * Index of the first minimum of values[0..n); ties keep the lowest
- * index (the historic LRU tie-break). Branchless conditional-move form;
- * n >= 1. Shared by all backends — SSE2 has no unsigned 64-bit min, and
- * n is at most the associativity, so a cmov chain already saturates.
- */
-inline unsigned
-min_index_u64(const std::uint64_t *values, unsigned n)
+/// Vector age_below_u8_scalar. SSE2 has no unsigned byte compare, but
+/// rank -sat v is nonzero exactly when v < rank, and its min with 1 is
+/// the increment; NEON's vcltq_u8 mask is -1 there, so it subtracts.
+inline void
+age_below_u8(std::uint8_t *ranks, unsigned n, std::uint8_t rank)
 {
-    unsigned best = 0;
-    for (unsigned w = 1; w < n; ++w)
-        best = values[w] < values[best] ? w : best;
-    return best;
+    unsigned w = 0;
+#if defined(PTM_SIMD_SSE2)
+    const __m128i limit = _mm_set1_epi8(static_cast<char>(rank));
+    const __m128i one = _mm_set1_epi8(1);
+    for (; w + 16 <= n; w += 16) {
+        auto *p = reinterpret_cast<__m128i *>(ranks + w);
+        const __m128i v = _mm_loadu_si128(p);
+        _mm_storeu_si128(
+            p, _mm_add_epi8(v, _mm_min_epu8(_mm_subs_epu8(limit, v), one)));
+    }
+#elif defined(PTM_SIMD_NEON)
+    const uint8x16_t limit = vdupq_n_u8(rank);
+    for (; w + 16 <= n; w += 16) {
+        const uint8x16_t v = vld1q_u8(ranks + w);
+        vst1q_u8(ranks + w, vsubq_u8(v, vcltq_u8(v, limit)));
+    }
+#endif
+    age_below_u8_scalar(ranks + w, n - w, rank);
 }
 
 }  // namespace ptm::simd

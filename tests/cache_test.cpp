@@ -239,6 +239,13 @@ TEST(CacheDeathTest, ZeroSetsIsFatal)
                 "not a nonzero power of two");
 }
 
+TEST(CacheDeathTest, LruWaysBeyondRankRowIsFatal)
+{
+    // One 512-way set: LRU ranks 0..511 do not fit the u8 rank row.
+    EXPECT_EXIT(Cache cache({"bad", 512 * 64, 512, ReplacementKind::Lru}),
+                ::testing::ExitedWithCode(1), "exceed the u8 rank row");
+}
+
 TEST(CacheDeathTest, RandomReplacementWithoutRngIsFatal)
 {
     EXPECT_EXIT(Cache cache({"bad", 4096, 4, ReplacementKind::Random}),

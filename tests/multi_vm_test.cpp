@@ -58,6 +58,7 @@ TEST(MultiVmHost, KilledVmFramesMergeBackAndSurvivorsKeepMappings)
     const std::uint64_t free_before = host.buddy().free_frames_count();
 
     const std::uint64_t repossessed = host.destroy_vm(*vms[1]);
+    vms.erase(vms.begin() + 1);  // destroyed: the pointer now dangles
     host.buddy().check_invariants();
 
     // All of the killed VM's frames came back: 512 data frames plus its

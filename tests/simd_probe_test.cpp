@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -38,9 +39,6 @@ TEST(SimdProbe, FindU32MatchesScalarReference)
         EXPECT_EQ(simd::find_u32(keys.data(), n, needle),
                   simd::find_u32_scalar(keys.data(), n, needle))
             << "trial " << trial;
-        EXPECT_EQ(simd::find_u32_hot(keys.data(), n, needle),
-                  simd::find_u32_scalar(keys.data(), n, needle))
-            << "trial " << trial;
     }
     // The empty-way scan: many lanes hold the sentinel; first wins.
     std::uint32_t sent[8] = {7, ~0U, 3, ~0U, ~0U, 1, ~0U, ~0U};
@@ -64,33 +62,68 @@ TEST(SimdProbe, FindU64MatchesScalarReference)
     EXPECT_EQ(simd::find_u64(sent, 5, ~0ULL), 0u);
 }
 
-TEST(SimdProbe, MinIndexU64ReturnsFirstMinimum)
+TEST(SimdProbe, FindU8MatchesScalarReference)
 {
     Rng rng(0xCAFE);
     for (unsigned trial = 0; trial < 2'000; ++trial) {
-        const unsigned n = 1 + static_cast<unsigned>(rng.below(16));
-        std::vector<std::uint64_t> values(n);
-        // Tiny range so ties are common: ties must keep the lowest
-        // index (the LRU tie-break AssocCache::insert relies on).
-        for (auto &v : values)
-            v = rng.below(4);
-        unsigned expect = 0;
-        for (unsigned w = 1; w < n; ++w) {
-            if (values[w] < values[expect])
-                expect = w;
-        }
-        EXPECT_EQ(simd::min_index_u64(values.data(), n), expect)
+        // Up to three 16-lane blocks plus a tail, so both the vector
+        // body and the scalar tail run.
+        const unsigned n = 1 + static_cast<unsigned>(rng.below(50));
+        std::vector<std::uint8_t> keys(n);
+        for (auto &k : keys)
+            k = static_cast<std::uint8_t>(rng.below(8));
+        const std::uint8_t needle = static_cast<std::uint8_t>(rng.below(10));
+        EXPECT_EQ(simd::find_u8(keys.data(), n, needle),
+                  simd::find_u8_scalar(keys.data(), n, needle))
             << "trial " << trial;
     }
+    // The first match wins across blocks; a match just past n is absent
+    // (returns n). The needle is the top byte value.
+    std::uint8_t row[32] = {};
+    row[17] = 0xFF;
+    row[30] = 0xFF;
+    EXPECT_EQ(simd::find_u8(row, 32, 0xFF), 17u);
+    EXPECT_EQ(simd::find_u8(row, 17, 0xFF), 17u);
+}
+
+TEST(SimdProbe, AgeBelowU8MatchesScalarReference)
+{
+    Rng rng(0xD00D);
+    for (unsigned trial = 0; trial < 2'000; ++trial) {
+        const unsigned n = 1 + static_cast<unsigned>(rng.below(50));
+        std::vector<std::uint8_t> got(n);
+        // Full byte range: the SSE2 path must compare unsigned, and
+        // lanes at 0x80..0xFF are where a signed compare would differ.
+        for (auto &v : got)
+            v = static_cast<std::uint8_t>(rng.below(256));
+        std::vector<std::uint8_t> want = got;
+        const std::uint8_t rank = static_cast<std::uint8_t>(rng.below(256));
+        simd::age_below_u8(got.data(), n, rank);
+        simd::age_below_u8_scalar(want.data(), n, rank);
+        EXPECT_EQ(got, want) << "trial " << trial;
+    }
+    // Move-to-front on a 16-lane rank row of 5 ways (pad lanes 0xFF
+    // here): touching the rank-3 way ages ranks 0..2 and leaves the LRU
+    // way and the pad lanes alone.
+    std::uint8_t row[16];
+    for (unsigned w = 0; w < 16; ++w)
+        row[w] = w < 5 ? static_cast<std::uint8_t>(w) : 0xFF;
+    simd::age_below_u8(row, 16, row[3]);
+    row[3] = 0;
+    const std::uint8_t expect[16] = {1,    2,    3,    0,    4,    0xFF,
+                                     0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                     0xFF, 0xFF, 0xFF, 0xFF};
+    for (unsigned w = 0; w < 16; ++w)
+        EXPECT_EQ(row[w], expect[w]) << "lane " << w;
 }
 
 // ---- cache::Cache decision identity --------------------------------
 
 /**
- * Reference cache: scalar scans, one virtual ReplacementPolicy per set,
- * first-empty-way fills — the documented decision procedure of
- * cache::Cache with none of its accelerators (memo, MRU hint, live
- * counts, SIMD scans, 32-bit tag packing).
+ * Reference cache: scalar scans, one virtual ReplacementPolicy per set
+ * (u64 use stamps for LRU), first-empty-way fills — the documented
+ * decision procedure of cache::Cache with none of its accelerators
+ * (memo, u8 rank rows, SIMD scans, 32-bit tag packing).
  */
 class RefCache {
   public:
@@ -114,6 +147,27 @@ class RefCache {
                 return true;
             }
         }
+        install(line);
+        return false;
+    }
+
+    /// Install without a recency touch when already resident.
+    void
+    fill(std::uint64_t line)
+    {
+        if (!resident(line))
+            install(line);
+    }
+
+    /// Drop every line; replacement state is kept, since a set refills
+    /// through the empty-way scan before any victim is chosen.
+    void flush() { std::fill(lines_.begin(), lines_.end(), ~0ULL); }
+
+    void
+    install(std::uint64_t line)
+    {
+        const std::uint64_t set = line & (sets_ - 1);
+        std::uint64_t *ways = &lines_[set * ways_];
         unsigned w = 0;
         while (w < ways_ && ways[w] != ~0ULL)
             ++w;
@@ -121,7 +175,6 @@ class RefCache {
             w = policies_[set]->victim();
         ways[w] = line;
         policies_[set]->touch(w);
-        return false;
     }
 
     void
@@ -165,7 +218,9 @@ class RefCache {
 TEST(SimdProbe, CacheDecisionsMatchReferenceAcrossWaysAndPolicies)
 {
     constexpr std::uint64_t kSets = 16;
-    const unsigned all_ways[] = {1, 2, 4, 8, 16};
+    // 3, 12 and 20 ways give partly padded rank rows (20 spans two
+    // 16-lane vectors) and non-power-of-two tree-PLRU.
+    const unsigned all_ways[] = {1, 2, 3, 4, 8, 12, 16, 20};
     const cache::ReplacementKind kinds[] = {
         cache::ReplacementKind::Lru,
         cache::ReplacementKind::TreePlru,
@@ -188,13 +243,25 @@ TEST(SimdProbe, CacheDecisionsMatchReferenceAcrossWaysAndPolicies)
             RefCache ref(kSets, ways, kind, &ref_rng);
 
             // 4x-capacity line pool: plenty of conflict misses; sprinkle
-            // invalidations so sets refill through the empty-way scan.
+            // invalidations, fills and two flushes so sets refill through
+            // the empty-way scan and evict on uncounted fills too.
             const std::uint64_t pool = kSets * ways * 4;
             for (unsigned i = 0; i < 6'000; ++i) {
                 const std::uint64_t line = stream.below(pool);
                 if (i % 17 == 13) {
                     cache.invalidate(line);
                     ref.invalidate(line);
+                    continue;
+                }
+                if (i % 11 == 4) {
+                    cache.fill(line);
+                    ref.fill(line);
+                    continue;
+                }
+                if (i % 2'500 == 2'499) {
+                    cache.flush();
+                    ref.flush();
+                    ASSERT_EQ(cache.resident_lines(), 0u);
                     continue;
                 }
                 ASSERT_EQ(cache.access(line, cache::AccessKind::Data),
@@ -288,8 +355,9 @@ TEST(SimdProbe, AssocCacheLookupMatchesScalarProbeSemantics)
         }
         std::optional<std::uint64_t> got = cache.probe(key);
         ASSERT_EQ(got.has_value(), resident) << "key " << key;
-        if (resident)
+        if (resident) {
             EXPECT_EQ(*got, value) << "key " << key;
+        }
     }
 }
 
