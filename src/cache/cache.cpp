@@ -4,6 +4,17 @@
 
 namespace ptm::cache {
 
+std::string
+replacement_kind_name(ReplacementKind kind)
+{
+    switch (kind) {
+      case ReplacementKind::Lru: return "LRU";
+      case ReplacementKind::TreePlru: return "tree-PLRU";
+      case ReplacementKind::Random: return "random";
+    }
+    return "unknown";
+}
+
 Cache::Cache(const CacheGeometry &geometry, Rng *rng)
     : geometry_(geometry), rng_(rng)
 {

@@ -20,10 +20,9 @@
  * common/simd.hpp (SSE2/NEON with a scalar fallback selected at
  * compile time); outcomes are identical to the scalar loop by the
  * probe contract. Replacement is dispatched with a single branch on
- * ReplacementKind instead of a virtual call (the virtual policies in
- * replacement.hpp remain as the reference model the tests compare
- * against). Write-allocate, no dirty tracking (latency is symmetric for
- * the metrics the paper reports).
+ * ReplacementKind instead of a virtual call (virtual per-set policies
+ * live on only as the tests' reference model). Write-allocate, no dirty
+ * tracking (latency is symmetric for the metrics the paper reports).
  */
 #pragma once
 
@@ -33,14 +32,23 @@
 #include <vector>
 
 #include "cache/access.hpp"
-#include "cache/replacement.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "obs/stat_registry.hpp"
 
 namespace ptm::cache {
+
+/// Supported replacement policies.
+enum class ReplacementKind : std::uint8_t {
+    Lru,      ///< true least-recently-used
+    TreePlru, ///< tree pseudo-LRU (as in most real L1s)
+    Random,   ///< uniform random victim
+};
+
+std::string replacement_kind_name(ReplacementKind kind);
 
 /// Static shape of one cache level.
 struct CacheGeometry {

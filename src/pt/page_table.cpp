@@ -5,64 +5,84 @@
 
 namespace ptm::pt {
 
+const PageTable::Node PageTable::kEmptyLeaf{};
+
 PageTable::PageTable(FrameSource frames) : frames_(std::move(frames))
 {
     if (!frames_.allocate || !frames_.release)
         ptm_fatal("page table requires a complete frame source");
-    root_ = make_node();
-    if (!root_) {
+    std::optional<std::uint64_t> frame = allocate_frame();
+    if (!frame) {
         // Recoverable: booting a table into an exhausted frame pool is an
         // admission failure (caller's host may be overcommitted), not a
         // programming error.
         ptm_throw("cannot allocate page-table root node: frame source "
                   "exhausted");
     }
+    root_frame_ = *frame;
+    root_ = std::make_unique<Node>();
 }
 
 PageTable::~PageTable()
 {
-    release_node(root_.get(), 0);
-    root_.reset();
+    release_children(*root_, 0);
+    release_frame(root_frame_);
 }
 
-std::unique_ptr<PageTable::Node>
-PageTable::make_node()
+const PageTable::Node *
+PageTable::missing_child(Pte pte, unsigned level)
+{
+    if (pte.present() && level + 2 == kPtLevels)
+        return &kEmptyLeaf;
+    ptm_panic("present non-leaf entry without child node");
+}
+
+std::optional<std::uint64_t>
+PageTable::allocate_frame()
 {
     std::optional<std::uint64_t> frame = frames_.allocate();
-    if (!frame)
-        return nullptr;
-    auto node = std::make_unique<Node>();
-    node->frame = *frame;
-    ++node_count_;
-    stats_.nodes_allocated.inc();
-    return node;
+    if (frame) {
+        ++node_count_;
+        stats_.nodes_allocated.inc();
+    }
+    return frame;
 }
 
 void
-PageTable::release_node(Node *node, unsigned level)
+PageTable::release_frame(std::uint64_t frame)
 {
-    if (node == nullptr)
-        return;
-    if (level + 1 < kPtLevels) {
-        for (auto &slot : node->slots)
-            release_node(slot.child.get(), level + 1);
-    }
-    frames_.release(node->frame);
+    frames_.release(frame);
     --node_count_;
     stats_.nodes_released.inc();
 }
 
-const PageTable::Node *
-PageTable::descend(std::uint64_t vpn, unsigned to_level) const
+void
+PageTable::release_children(const Node &node, unsigned level)
 {
-    const Node *node = root_.get();
-    for (unsigned level = 0; level < to_level; ++level) {
-        unsigned index = index_at(vpn, level);
-        node = node->slots[index].child.get();
+    // Post-order, children in index order: the frame source's free order
+    // decides its later allocations, so it must not depend on which
+    // leaves happen to be emptied.
+    if (level + 1 >= kPtLevels)
+        return;
+    for (const Slot &slot : node.slots) {
+        if (!slot.pte.present())
+            continue;
+        if (slot.child)
+            release_children(*slot.child, level + 1);
+        release_frame(slot.pte.frame());
+    }
+}
+
+PageTable::Slot *
+PageTable::pd_slot(std::uint64_t vpn)
+{
+    Node *node = root_.get();
+    for (unsigned level = 0; level + 2 < kPtLevels; ++level) {
+        node = node->slots[index_at(vpn, level)].child.get();
         if (node == nullptr)
             return nullptr;
     }
-    return node;
+    return &node->slots[index_at(vpn, kPtLevels - 2)];
 }
 
 bool
@@ -70,22 +90,26 @@ PageTable::map(std::uint64_t vpn, const PteFields &fields)
 {
     Node *node = root_.get();
     for (unsigned level = 0; level + 1 < kPtLevels; ++level) {
-        unsigned index = index_at(vpn, level);
-        if (!node->slots[index].child) {
-            std::unique_ptr<Node> child = make_node();
-            if (!child)
-                return false;
-            // Non-leaf entries point at the child node's frame.
-            node->slots[index].pte =
-                Pte::encode({.present = true, .frame = child->frame});
-            node->slots[index].child = std::move(child);
+        Slot &slot = node->slots[index_at(vpn, level)];
+        if (!slot.child) {
+            // A present entry without a child is an emptied leaf: rebuild
+            // it at the frame the entry kept.
+            if (!slot.pte.present()) {
+                std::optional<std::uint64_t> frame = allocate_frame();
+                if (!frame)
+                    return false;
+                slot.pte = Pte::encode({.present = true, .frame = *frame});
+            }
+            slot.child = std::make_unique<Node>();
         }
-        node = node->slots[index].child.get();
+        node = slot.child.get();
     }
-    unsigned leaf_index = index_at(vpn, kPtLevels - 1);
+    Pte &leaf = node->slots[index_at(vpn, kPtLevels - 1)].pte;
+    if (!leaf.present())
+        ++node->present;
     PteFields with_present = fields;
     with_present.present = true;
-    node->slots[leaf_index].pte = Pte::encode(with_present);
+    leaf = Pte::encode(with_present);
     stats_.mappings.inc();
     return true;
 }
@@ -93,72 +117,60 @@ PageTable::map(std::uint64_t vpn, const PteFields &fields)
 void
 PageTable::unmap(std::uint64_t vpn)
 {
-    Node *node = root_.get();
-    for (unsigned level = 0; level + 1 < kPtLevels; ++level) {
-        node = node->slots[index_at(vpn, level)].child.get();
-        if (node == nullptr)
-            return;
-    }
-    Slot &leaf = node->slots[index_at(vpn, kPtLevels - 1)];
-    if (leaf.pte.present()) {
-        leaf.pte = Pte{};
-        stats_.unmappings.inc();
-    }
+    Slot *pd = pd_slot(vpn);
+    if (pd == nullptr || !pd->child)
+        return;
+    Pte &leaf = pd->child->slots[index_at(vpn, kPtLevels - 1)].pte;
+    if (!leaf.present())
+        return;
+    leaf = Pte{};
+    stats_.unmappings.inc();
+    if (--pd->child->present == 0)
+        pd->child.reset();
 }
 
 std::optional<Pte>
 PageTable::lookup(std::uint64_t vpn) const
 {
-    const Node *node = descend(vpn, kPtLevels - 1);
-    if (node == nullptr)
+    Cursor cur(*this, vpn);
+    while (cur.pte().present() && !cur.at_leaf())
+        cur.descend();
+    if (!cur.pte().present())
         return std::nullopt;
-    Pte pte = node->slots[index_at(vpn, kPtLevels - 1)].pte;
-    if (!pte.present())
-        return std::nullopt;
-    return pte;
+    return cur.pte();
 }
 
 bool
 PageTable::update(std::uint64_t vpn, const PteFields &fields)
 {
-    Node *node = root_.get();
-    for (unsigned level = 0; level + 1 < kPtLevels; ++level) {
-        node = node->slots[index_at(vpn, level)].child.get();
-        if (node == nullptr)
-            return false;
-    }
+    Slot *pd = pd_slot(vpn);
+    if (pd == nullptr || !pd->child)
+        return false;
+    Pte &leaf = pd->child->slots[index_at(vpn, kPtLevels - 1)].pte;
+    if (!leaf.present())
+        return false;
     PteFields with_present = fields;
     with_present.present = true;
-    node->slots[index_at(vpn, kPtLevels - 1)].pte =
-        Pte::encode(with_present);
+    leaf = Pte::encode(with_present);
     return true;
 }
 
 unsigned
 PageTable::walk_into(std::uint64_t vpn, WalkStep *steps) const
 {
-    const Node *node = root_.get();
+    Cursor cur(*this, vpn);
     unsigned count = 0;
-    for (unsigned level = 0; level < kPtLevels; ++level) {
-        unsigned index = index_at(vpn, level);
-        const Slot &slot = node->slots[index];
+    for (;;) {
         WalkStep &step = steps[count++];
-        step.level = level;
-        step.node_frame = node->frame;
-        step.index = index;
-        step.entry_paddr = node->frame * kPageSize + index * kPteSize;
-        step.pte = slot.pte;
-        if (!step.pte.present())
-            break;
-        if (level + 1 < kPtLevels) {
-            node = slot.child.get();
-            if (node == nullptr) {
-                // Present intermediate entry must have a child node.
-                ptm_panic("present non-leaf entry without child node");
-            }
-        }
+        step.level = cur.level();
+        step.node_frame = cur.node_frame();
+        step.index = cur.index();
+        step.entry_paddr = cur.entry_paddr();
+        step.pte = cur.pte();
+        if (!step.pte.present() || cur.at_leaf())
+            return count;
+        cur.descend();
     }
-    return count;
 }
 
 unsigned
@@ -181,11 +193,13 @@ PageTable::walk(std::uint64_t vpn, WalkSteps &steps) const
 std::optional<Addr>
 PageTable::leaf_entry_paddr(std::uint64_t vpn) const
 {
-    const Node *node = descend(vpn, kPtLevels - 1);
-    if (node == nullptr)
-        return std::nullopt;
-    unsigned index = index_at(vpn, kPtLevels - 1);
-    return node->frame * kPageSize + index * kPteSize;
+    Cursor cur(*this, vpn);
+    while (!cur.at_leaf()) {
+        if (!cur.pte().present())
+            return std::nullopt;
+        cur.descend();
+    }
+    return cur.entry_paddr();
 }
 
 }  // namespace ptm::pt

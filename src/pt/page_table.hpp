@@ -17,7 +17,6 @@
 #include <optional>
 #include <string>
 
-#include "common/log.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "pt/pte.hpp"
@@ -60,14 +59,22 @@ class PageTable final : public TranslationTable {
      */
     bool map(std::uint64_t vpn, const PteFields &fields) override;
 
-    /// Remove a translation; empty intermediate nodes are kept (as Linux
-    /// does — PT pages are only freed at exit/unmap of whole regions).
+    /**
+     * Remove a translation. Every node keeps its frame until the table is
+     * destroyed (Linux would also free PT pages when a whole region is
+     * unmapped), so node frames, entry addresses and node_count() do not
+     * change. When the last present entry of a leaf goes, only the
+     * leaf's host storage is freed: its PD entry stays present with the
+     * leaf's frame, readers see a leaf of non-present entries there, and
+     * the next map() under it rebuilds the leaf at that frame.
+     */
     void unmap(std::uint64_t vpn) override;
 
     /// Current leaf entry for @p vpn, if the whole path exists.
     std::optional<Pte> lookup(std::uint64_t vpn) const override;
 
-    /// Overwrite the leaf entry for an existing mapping (e.g. COW resolve).
+    /// Overwrite the leaf entry for an existing mapping (e.g. COW resolve);
+    /// false if @p vpn is not mapped.
     bool update(std::uint64_t vpn, const PteFields &fields) override;
 
     /// TranslationTable walk: root to leaf, stopping after a non-present
@@ -84,15 +91,16 @@ class PageTable final : public TranslationTable {
 
     /**
      * Physical byte address of the leaf PTE slot for @p vpn, if the leaf
-     * node exists (the entry itself may be non-present). Used by the
-     * fragmentation metric, which is about PTE *placement*.
+     * node has a frame (the entry itself may be non-present). Used by
+     * the fragmentation metric, which is about PTE *placement*.
      */
     std::optional<Addr> leaf_entry_paddr(std::uint64_t vpn) const override;
 
     /// Frame of the root node (CR3 equivalent).
-    std::uint64_t root_frame() const override { return root_->frame; }
+    std::uint64_t root_frame() const override { return root_frame_; }
 
-    /// Total nodes currently allocated, all levels.
+    /// Total node frames currently held, all levels (an emptied leaf
+    /// still holds its frame).
     std::uint64_t node_count() const override { return node_count_; }
 
     const PageTableStats &stats() const override { return stats_; }
@@ -117,23 +125,33 @@ class PageTable final : public TranslationTable {
     /// owning pointer to the child node. Keeping them adjacent means a
     /// walk step reads the entry and follows the child from the same
     /// host cache line, instead of hopping between two arrays 4 KiB
-    /// apart.
+    /// apart. A present entry's frame is its child's frame.
     struct Slot {
         Pte pte;
         std::unique_ptr<Node> child;
     };
 
     struct Node {
-        std::uint64_t frame = 0;
         std::array<Slot, kFanout> slots{};
+        /// Present entries (counted in leaf nodes only).
+        std::uint32_t present = 0;
     };
 
-    std::unique_ptr<Node> make_node();
-    void release_node(Node *node, unsigned level);
-    const Node *descend(std::uint64_t vpn, unsigned to_level) const;
+    /// Stands in for an emptied leaf: every entry non-present.
+    static const Node kEmptyLeaf;
+
+    /// Child of a present entry at @p level whose host node is missing:
+    /// kEmptyLeaf below a PD entry, a corruption panic anywhere else.
+    static const Node *missing_child(Pte pte, unsigned level);
+
+    std::optional<std::uint64_t> allocate_frame();
+    void release_frame(std::uint64_t frame);
+    void release_children(const Node &node, unsigned level);
+    Slot *pd_slot(std::uint64_t vpn);
     unsigned walk_into(std::uint64_t vpn, WalkStep *steps) const;
 
     FrameSource frames_;
+    std::uint64_t root_frame_ = 0;
     std::unique_ptr<Node> root_;
     std::uint64_t node_count_ = 0;
     PageTableStats stats_;
@@ -149,17 +167,17 @@ class PageTable final : public TranslationTable {
     class Cursor {
       public:
         Cursor(const PageTable &table, std::uint64_t vpn)
-            : node_(table.root_.get()), vpn_(vpn)
+            : node_(table.root_.get()), frame_(table.root_frame_), vpn_(vpn)
         {
         }
 
         unsigned level() const { return level_; }
-        std::uint64_t node_frame() const { return node_->frame; }
+        std::uint64_t node_frame() const { return frame_; }
         unsigned index() const { return index_at(vpn_, level_); }
         Addr
         entry_paddr() const
         {
-            return node_->frame * kPageSize + index() * kPteSize;
+            return frame_ * kPageSize + index() * kPteSize;
         }
         Pte pte() const { return node_->slots[index()].pte; }
         bool at_leaf() const { return level_ + 1 >= kPtLevels; }
@@ -168,20 +186,22 @@ class PageTable final : public TranslationTable {
          * Move to the current entry's child node. Only meaningful below
          * the leaf level with a present entry; panics on structural
          * corruption (present non-leaf entry without a child), exactly
-         * like walk().
+         * like walk(). An emptied leaf reads as all non-present at the
+         * frame its PD entry kept.
          */
         void
         descend()
         {
-            const Node *child = node_->slots[index()].child.get();
-            if (child == nullptr)
-                ptm_panic("present non-leaf entry without child node");
-            node_ = child;
+            const Slot &slot = node_->slots[index()];
+            node_ = slot.child ? slot.child.get()
+                               : missing_child(slot.pte, level_);
+            frame_ = slot.pte.frame();
             ++level_;
         }
 
       private:
         const Node *node_;
+        std::uint64_t frame_;
         std::uint64_t vpn_;
         unsigned level_ = 0;
     };

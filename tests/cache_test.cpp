@@ -7,8 +7,8 @@
 
 #include "cache/cache.hpp"
 #include "cache/hierarchy.hpp"
-#include "cache/replacement.hpp"
 #include "common/rng.hpp"
+#include "reference_replacement.hpp"
 
 namespace ptm::cache {
 namespace {

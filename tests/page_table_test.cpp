@@ -4,13 +4,51 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstddef>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "mem/buddy_allocator.hpp"
 #include "pt/page_table.hpp"
 #include "pt/pte.hpp"
+
+// Byte-counting global allocator: every allocation carries its size in
+// a header, so the test can see host storage come and go.
+namespace {
+std::atomic<std::int64_t> g_live_bytes{0};
+constexpr std::size_t kHeader = alignof(std::max_align_t);
+}  // namespace
+
+void *
+operator new(std::size_t n)
+{
+    void *raw = std::malloc(n + kHeader);
+    if (raw == nullptr)
+        throw std::bad_alloc();
+    *static_cast<std::size_t *>(raw) = n;
+    g_live_bytes += static_cast<std::int64_t>(n);
+    return static_cast<char *>(raw) + kHeader;
+}
+
+void
+operator delete(void *p) noexcept
+{
+    if (p == nullptr)
+        return;
+    void *raw = static_cast<char *>(p) - kHeader;
+    g_live_bytes -= static_cast<std::int64_t>(*static_cast<std::size_t *>(raw));
+    std::free(raw);
+}
+
+void *operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete[](void *p) noexcept { ::operator delete(p); }
+void operator delete(void *p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void *p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace ptm::pt {
 namespace {
@@ -107,6 +145,18 @@ TEST_F(PageTableTest, UpdateFailsWithoutPath)
 {
     PageTable pt(source_);
     EXPECT_FALSE(pt.update(100, {.frame = 1}));
+}
+
+TEST_F(PageTableTest, UpdateFailsOnUnmappedEntryOfExistingLeaf)
+{
+    PageTable pt(source_);
+    pt.map(100, {.frame = 1});
+    EXPECT_FALSE(pt.update(101, {.writable = true, .frame = 2}));
+    EXPECT_FALSE(pt.lookup(101).has_value());
+    pt.unmap(100);
+    EXPECT_FALSE(pt.update(100, {.writable = true, .frame = 1}));
+    EXPECT_FALSE(pt.lookup(100).has_value());
+    EXPECT_EQ(pt.stats().mappings.value(), 1u);
 }
 
 TEST_F(PageTableTest, NodeSharingAcrossNeighbours)
@@ -213,6 +263,179 @@ TEST_F(PageTableTest, LeafEntryPaddrWithoutMapping)
     // Neighbours in the same leaf node have a slot address even while
     // unmapped — the slot exists once the node does.
     EXPECT_TRUE(pt.leaf_entry_paddr(56).has_value());
+}
+
+// ---- emptied leaves ------------------------------------------------
+
+/// A buddy-backed frame source that records every call made to it.
+struct RecordingSource {
+    RecordingSource() : buddy(0, 4096) {}
+
+    FrameSource
+    source()
+    {
+        return FrameSource{
+            .allocate =
+                [this]() {
+                    ++allocations;
+                    return buddy.allocate_frame();
+                },
+            .release =
+                [this](std::uint64_t f) {
+                    released.push_back(f);
+                    buddy.free(f);
+                },
+        };
+    }
+
+    mem::BuddyAllocator buddy;
+    unsigned allocations = 0;
+    std::vector<std::uint64_t> released;
+};
+
+/// Every placement fact a reader can observe about @p vpn.
+struct Placement {
+    unsigned steps = 0;
+    std::array<WalkStep, kPtLevels> walk{};
+    std::vector<std::uint64_t> cursor_frames;
+    std::vector<Addr> cursor_entries;
+    std::optional<Addr> leaf_entry;
+};
+
+Placement
+observe(const PageTable &pt, std::uint64_t vpn)
+{
+    Placement p;
+    p.steps = pt.walk(vpn, p.walk);
+    PageTable::Cursor cur(pt, vpn);
+    for (;;) {
+        p.cursor_frames.push_back(cur.node_frame());
+        p.cursor_entries.push_back(cur.entry_paddr());
+        if (!cur.pte().present() || cur.at_leaf())
+            break;
+        cur.descend();
+    }
+    p.leaf_entry = pt.leaf_entry_paddr(vpn);
+    return p;
+}
+
+constexpr std::uint64_t kLeafBase = 7 * PageTable::kFanout;
+
+TEST_F(PageTableTest, EmptiedLeafKeepsFramesAndAddresses)
+{
+    PageTable pt(source_);
+    pt.map(kLeafBase - 1, {.frame = 9});  // the neighbouring leaf stays
+    for (std::uint64_t i = 0; i < 8; ++i)
+        pt.map(kLeafBase + 3 * i, {.frame = 100 + i});
+    const std::uint64_t nodes = pt.node_count();
+    std::vector<Placement> before;
+    for (std::uint64_t i = 0; i < 24; ++i)
+        before.push_back(observe(pt, kLeafBase + i));
+
+    for (std::uint64_t i = 0; i < 8; ++i)
+        pt.unmap(kLeafBase + 3 * i);
+
+    EXPECT_EQ(pt.node_count(), nodes);
+    EXPECT_EQ(pt.stats().nodes_released.value(), 0u);
+    for (std::uint64_t i = 0; i < 24; ++i) {
+        SCOPED_TRACE(i);
+        const Placement after = observe(pt, kLeafBase + i);
+        ASSERT_EQ(after.steps, kPtLevels);
+        ASSERT_EQ(before[i].steps, kPtLevels);
+        for (unsigned l = 0; l < kPtLevels; ++l) {
+            EXPECT_EQ(after.walk[l].level, before[i].walk[l].level);
+            EXPECT_EQ(after.walk[l].node_frame,
+                      before[i].walk[l].node_frame);
+            EXPECT_EQ(after.walk[l].index, before[i].walk[l].index);
+            EXPECT_EQ(after.walk[l].entry_paddr,
+                      before[i].walk[l].entry_paddr);
+        }
+        for (unsigned l = 0; l + 1 < kPtLevels; ++l)
+            EXPECT_EQ(after.walk[l].pte.raw(), before[i].walk[l].pte.raw());
+        EXPECT_FALSE(after.walk[kPtLevels - 1].pte.present());
+        EXPECT_EQ(after.cursor_frames, before[i].cursor_frames);
+        EXPECT_EQ(after.cursor_entries, before[i].cursor_entries);
+        EXPECT_EQ(after.leaf_entry, before[i].leaf_entry);
+        EXPECT_FALSE(pt.lookup(kLeafBase + i).has_value());
+        EXPECT_FALSE(pt.update(kLeafBase + i, {.frame = 1}));
+    }
+    EXPECT_TRUE(pt.lookup(kLeafBase - 1).has_value());
+}
+
+TEST(PageTableEmptyLeaf, RemapRebuildsAtSameFrameWithoutFrameSource)
+{
+    RecordingSource rec;
+    PageTable pt(rec.source());
+    pt.map(kLeafBase, {.frame = 5});
+    const std::optional<Addr> slot = pt.leaf_entry_paddr(kLeafBase + 9);
+    const std::uint64_t nodes = pt.node_count();
+    pt.unmap(kLeafBase);
+
+    const unsigned allocations = rec.allocations;
+    ASSERT_TRUE(pt.map(kLeafBase + 9, {.frame = 6}));
+    EXPECT_EQ(rec.allocations, allocations);
+    EXPECT_TRUE(rec.released.empty());
+    EXPECT_EQ(pt.leaf_entry_paddr(kLeafBase + 9), slot);
+    EXPECT_EQ(pt.node_count(), nodes);
+    EXPECT_EQ(pt.stats().nodes_allocated.value(), nodes);
+    EXPECT_EQ(pt.lookup(kLeafBase + 9)->frame(), 6u);
+    EXPECT_FALSE(pt.lookup(kLeafBase).has_value());
+}
+
+TEST(PageTableEmptyLeaf, DestructorReleasesInTwinOrder)
+{
+    // Two tables over identical frame sources see the same map sequence;
+    // one then empties (and partly refills) leaves the other keeps. Both
+    // must hand their frames back in one order.
+    RecordingSource emptied_rec;
+    RecordingSource twin_rec;
+    {
+        PageTable emptied(emptied_rec.source());
+        PageTable twin(twin_rec.source());
+        const std::uint64_t vpns[] = {3,          kLeafBase,
+                                      kLeafBase + 1,
+                                      2 * kLeafBase, 1ull << 27,
+                                      (1ull << 27) + 1,
+                                      (1ull << 27) + 700};
+        for (std::uint64_t vpn : vpns) {
+            emptied.map(vpn, {.frame = vpn});
+            twin.map(vpn, {.frame = vpn});
+        }
+        for (std::uint64_t vpn : vpns) {
+            if (vpn != 2 * kLeafBase && vpn != (1ull << 27) + 700)
+                emptied.unmap(vpn);
+        }
+        emptied.map(kLeafBase + 1, {.frame = 1});
+        EXPECT_EQ(emptied.node_count(), twin.node_count());
+    }
+    EXPECT_EQ(emptied_rec.allocations, twin_rec.allocations);
+    EXPECT_EQ(emptied_rec.released, twin_rec.released);
+    EXPECT_EQ(emptied_rec.released.size(), emptied_rec.allocations);
+    emptied_rec.buddy.check_invariants();
+}
+
+TEST(PageTableEmptyLeaf, EmptiedLeafFreesHostStorage)
+{
+    RecordingSource rec;
+    PageTable pt(rec.source());
+    pt.map(kLeafBase - 1, {.frame = 1});  // keeps the upper levels
+    const std::int64_t base = g_live_bytes.load();
+
+    pt.map(kLeafBase, {.frame = 2});
+    pt.map(kLeafBase + 1, {.frame = 3});
+    pt.map(kLeafBase + 1, {.frame = 4});  // an overwrite is not a new entry
+    const std::int64_t leaf = g_live_bytes.load() - base;
+    EXPECT_GE(leaf, static_cast<std::int64_t>(PageTable::kFanout *
+                                              sizeof(Pte)));
+
+    pt.unmap(kLeafBase);
+    pt.unmap(kLeafBase);  // unmapping a hole changes nothing
+    EXPECT_EQ(g_live_bytes.load() - base, leaf);  // one entry still present
+    EXPECT_EQ(pt.lookup(kLeafBase + 1)->frame(), 4u);
+    pt.unmap(kLeafBase + 1);
+    EXPECT_EQ(g_live_bytes.load(), base);
+    pt.map(kLeafBase + 1, {.frame = 3});
+    EXPECT_EQ(g_live_bytes.load() - base, leaf);
 }
 
 /// Property test: random map/lookup/unmap against a reference std::map.

@@ -272,8 +272,36 @@ TEST(HashedVsRadix, RandomOperationSequencesStayEquivalent)
         Rng rng(seed);
         for (int step = 0; step < 5000; ++step) {
             const std::uint64_t vpn = rng.below(1ull << 20);
-            const std::uint64_t dice = rng.below(10);
-            if (dice < 6) {
+            const std::uint64_t dice = rng.below(13);
+            if (dice == 10) {
+                // Update: only an existing mapping changes.
+                const std::uint64_t frame = rng.below(1ull << 30);
+                pt::PteFields fields{.writable = true, .frame = frame};
+                const bool mapped = h.reference_.count(vpn) != 0;
+                EXPECT_EQ(h.radix_.update(vpn, fields), mapped);
+                EXPECT_EQ(h.hashed_.update(vpn, fields), mapped);
+                if (mapped)
+                    h.reference_[vpn] = frame;
+            } else if (dice == 11) {
+                // Unmap a whole leaf's range: the radix leaf empties.
+                const std::uint64_t base = vpn & ~std::uint64_t{511};
+                for (std::uint64_t v = base; v < base + 512; ++v) {
+                    h.radix_.unmap(v);
+                    h.hashed_.unmap(v);
+                    h.reference_.erase(v);
+                }
+            } else if (dice == 12) {
+                // Remap a few pages into the same (possibly emptied) leaf.
+                const std::uint64_t base = vpn & ~std::uint64_t{511};
+                for (int i = 0; i < 4; ++i) {
+                    const std::uint64_t v = base + rng.below(512);
+                    const std::uint64_t frame = rng.below(1ull << 30);
+                    pt::PteFields fields{.frame = frame};
+                    EXPECT_TRUE(h.radix_.map(v, fields));
+                    EXPECT_TRUE(h.hashed_.map(v, fields));
+                    h.reference_[v] = frame;
+                }
+            } else if (dice < 6) {
                 const std::uint64_t frame = rng.below(1ull << 30);
                 pt::PteFields fields{.writable = true, .frame = frame};
                 EXPECT_TRUE(h.radix_.map(vpn, fields));
@@ -297,8 +325,10 @@ TEST(HashedVsRadix, RandomOperationSequencesStayEquivalent)
         }
 
         // Full sweep: every reference entry visible through both tables
-        // and through their walk() paths.
+        // and through their walk() paths. Emptied radix leaves keep
+        // their frames until the table goes.
         EXPECT_EQ(h.hashed_.entry_count(), h.reference_.size());
+        EXPECT_EQ(h.radix_.stats().nodes_released.value(), 0u);
         for (const auto &[vpn, frame] : h.reference_) {
             pt::WalkSteps steps;
             pt::WalkResult rw = h.radix_.walk(vpn, steps);
@@ -320,6 +350,27 @@ TEST(HashedVsRadix, RandomOperationSequencesStayEquivalent)
             EXPECT_FALSE(h.radix_.walk(vpn, steps).complete);
             EXPECT_FALSE(h.hashed_.walk(vpn, steps).complete);
         }
+    }
+}
+
+TEST(HashedVsRadix, UpdateOfUnmappedEntryFailsOnBothTables)
+{
+    EquivalenceHarness h;
+    for (pt::TranslationTable *table :
+         {static_cast<pt::TranslationTable *>(&h.radix_),
+          static_cast<pt::TranslationTable *>(&h.hashed_)}) {
+        SCOPED_TRACE(table->name());
+        ASSERT_TRUE(table->map(40, {.frame = 1}));
+        ASSERT_TRUE(table->map(41, {.frame = 2}));
+        table->unmap(40);
+        EXPECT_FALSE(table->update(40, {.writable = true, .frame = 3}));
+        EXPECT_FALSE(table->lookup(40).has_value());
+        EXPECT_FALSE(table->update(42, {.writable = true, .frame = 3}));
+        EXPECT_FALSE(table->lookup(42).has_value());
+        EXPECT_TRUE(table->update(41, {.writable = true, .frame = 4}));
+        EXPECT_EQ(table->lookup(41)->frame(), 4u);
+        EXPECT_TRUE(table->lookup(41)->writable());
+        EXPECT_EQ(table->stats().mappings.value(), 2u);
     }
 }
 

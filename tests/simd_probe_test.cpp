@@ -15,11 +15,11 @@
 #include <vector>
 
 #include "cache/cache.hpp"
-#include "cache/replacement.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "common/types.hpp"
 #include "tlb/assoc_cache.hpp"
+#include "reference_replacement.hpp"
 
 namespace ptm {
 namespace {
