@@ -1,7 +1,11 @@
 #include "mmu/nested_walker.hpp"
 
+#include <type_traits>
+#include <typeinfo>
+
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "pt/hashed_page_table.hpp"
 #include "pt/page_table.hpp"
 
 namespace ptm::mmu {
@@ -10,6 +14,31 @@ namespace {
 /// Retries bound: a translation can fault at most once per guest level
 /// plus once per host walk; anything beyond signals a broken kernel model.
 constexpr unsigned kMaxAttempts = 16;
+
+/**
+ * Call @p walk with the concrete table behind @p table, so each walk
+ * loop is compiled per table type and descends with that table's inline
+ * Cursor. @p radix is used when bound; otherwise one downcast per table
+ * type picks it. Runs once per walk, never once per step.
+ */
+template <class Walk>
+decltype(auto)
+with_concrete_table(const pt::TranslationTable &table,
+                    const pt::PageTable *radix, Walk &&walk)
+{
+    // Both tables are final, so an exact type match is the downcast: a
+    // type_info compare, where dynamic_cast would search the hierarchy.
+    static_assert(std::is_final_v<pt::PageTable> &&
+                  std::is_final_v<pt::HashedPageTable>);
+    if (radix == nullptr && typeid(table) == typeid(pt::PageTable))
+        radix = static_cast<const pt::PageTable *>(&table);
+    if (radix != nullptr)
+        return walk(*radix);
+    if (typeid(table) == typeid(pt::HashedPageTable))
+        return walk(static_cast<const pt::HashedPageTable &>(table));
+    ptm_panic("nested walker cannot walk a '%s' translation table",
+              table.name().c_str());
+}
 }  // namespace
 
 NestedWalker::NestedWalker(unsigned core, const tlb::TlbConfig &config,
@@ -31,62 +60,24 @@ NestedWalker::host_translate(std::uint64_t gfn, TranslationResult &result)
         stats_.nested_tlb_hits.inc();
         return *hfn;
     }
-
-    // 1D walk of the host page table. Every node access goes through the
-    // cache hierarchy tagged HostPt; a non-present entry anywhere means
-    // the host has not yet backed this guest frame and takes a host fault
-    // (lazy allocation, §3.1), after which the walk restarts.
     stats_.host_walks.inc();
-    if (host_.radix != nullptr)
-        return host_walk_radix(gfn, result);
-    for (unsigned attempt = 0; attempt < kMaxAttempts; ++attempt) {
-        // Resumable descent: pull one step at a time through the step
-        // cursor — same touch order and accounting as walking first and
-        // iterating a buffer afterwards, without the buffer round-trip.
-        pt::StepCursor &cur = host_cursor_;
-        host_.page_table->walk_begin(gfn, cur);
-        pt::WalkStep step;
-        while (host_.page_table->walk_next(cur, step)) {
-            cache::AccessResult access = hierarchy_->access(
-                core_, step.entry_paddr, cache::AccessKind::HostPt);
-            result.walk_cycles += access.latency;
-            result.cycles += access.latency;
-            stats_.walk_cycles.inc(access.latency);
-            stats_.host_pt_cycles.inc(access.latency);
-            stats_.host_pt_accesses.inc();
-            if (access.served_by == cache::ServedBy::Memory) {
-                stats_.host_pt_mem_accesses.inc();
-                stats_.host_pt_level_mem.record(step.level);
-            }
-        }
-        if (cur.complete) {
-            std::uint64_t hfn = step.pte.frame();
-            nested_tlb_.insert(gfn, hfn);
-            return hfn;
-        }
-
-        FaultOutcome fault = host_.fault_handler(gfn);
-        stats_.host_faults.inc();
-        if (!fault.ok)
-            ptm_throw("host kernel cannot back guest frame %llu "
-                      "(host OOM)", static_cast<unsigned long long>(gfn));
-        stats_.fault_cycles.inc(fault.cycles);
-        result.cycles += fault.cycles;
-        result.faulted = true;
-    }
-    ptm_panic("host walk did not converge");
+    return with_concrete_table(
+        *host_.page_table, host_.radix,
+        [&](const auto &table) { return host_walk(table, gfn, result); });
 }
 
+template <class Table>
 std::uint64_t
-NestedWalker::host_walk_radix(std::uint64_t gfn, TranslationResult &result)
+NestedWalker::host_walk(const Table &table, std::uint64_t gfn,
+                        TranslationResult &result)
 {
-    // Fused variant of the loop above: the radix table's walk() is a pure
-    // read, so descending node-by-node and accounting each level as it is
-    // reached touches the caches in the exact same order as walking first
-    // and accounting afterwards. walk() stops after the first non-present
-    // entry; so does this descent.
+    // 1D walk of the host page table. Every node access goes through the
+    // cache hierarchy tagged HostPt, accounted as the descent reaches it;
+    // a non-present entry anywhere means the host has not yet backed
+    // this guest frame and takes a host fault (lazy allocation, §3.1),
+    // after which the walk restarts.
     for (unsigned attempt = 0; attempt < kMaxAttempts; ++attempt) {
-        pt::PageTable::Cursor cur(*host_.radix, gfn);
+        typename Table::Cursor cur(table, gfn);
         for (;;) {
             cache::AccessResult access = hierarchy_->access(
                 core_, cur.entry_paddr(), cache::AccessKind::HostPt);
@@ -99,12 +90,12 @@ NestedWalker::host_walk_radix(std::uint64_t gfn, TranslationResult &result)
                 stats_.host_pt_mem_accesses.inc();
                 stats_.host_pt_level_mem.record(cur.level());
             }
-            if (!cur.pte().present())
+            pt::Pte pte = cur.pte();
+            if (!pte.present())
                 break;
             if (cur.at_leaf()) {
-                std::uint64_t hfn = cur.pte().frame();
-                nested_tlb_.insert(gfn, hfn);
-                return hfn;
+                nested_tlb_.insert(gfn, pte.frame());
+                return pte.frame();
             }
             cur.descend();
         }
@@ -121,100 +112,23 @@ NestedWalker::host_walk_radix(std::uint64_t gfn, TranslationResult &result)
     ptm_panic("host walk did not converge");
 }
 
+template <class Table>
 std::optional<std::uint64_t>
-NestedWalker::walk_guest_once(GuestContext &guest, std::uint64_t gvpn,
-                              TranslationResult &result)
+NestedWalker::walk_guest_once(const Table &table, GuestContext &guest,
+                              std::uint64_t gvpn, TranslationResult &result)
 {
-    if (guest.radix != nullptr)
-        return walk_guest_radix(guest, gvpn, result);
+    // Only radix levels keep the PWC's contract: level i of every walk
+    // touches the same node for a shared vpn prefix.
+    constexpr bool kUsePwc = std::is_same_v<Table, pt::PageTable>;
+    typename Table::Cursor cur(table, gvpn);
 
-    // Resumable descent through the step cursor: one level at a time,
-    // each level's accesses charged as it is reached.
-    pt::TranslationTable &table = *guest.page_table;
-    pt::StepCursor &cur = guest_cursor_;
-    table.walk_begin(gvpn, cur);
-
-    // The PWC can let the walker skip upper guest levels whose node it
-    // already knows; it caches node frames, so validate the hit against
-    // the current walk (a stale hit after unmap simply misses here).
-    // Non-radix tables have no stable level->node contract, so the PWC
-    // is bypassed for them (guest.use_pwc) — walk_peek/walk_skip only
-    // ever run against the buffered cursor of a radix-contract table.
-    if (guest.use_pwc) {
+    // PWC resume: the PWC caches node frames, so a hit is valid iff a
+    // silent descent reaches the cached level and finds the cached node
+    // there (a stale hit after unmap simply misses).
+    if constexpr (kUsePwc) {
         if (std::optional<tlb::PageWalkCache::Hit> hit =
                 pwc_.lookup(gvpn)) {
-            const pt::WalkStep *resume =
-                table.walk_peek(cur, hit->resume_level);
-            if (resume != nullptr &&
-                resume->node_frame == hit->node_frame) {
-                table.walk_skip(cur, hit->resume_level);
-            }
-        }
-    }
-
-    pt::WalkStep step;
-    while (table.walk_next(cur, step)) {
-        // The guest-PT node lives at a guest-physical frame; the walker
-        // needs its host-physical address first (the "2D" part).
-        std::uint64_t node_hfn = host_translate(step.node_frame, result);
-        Addr entry_hpa =
-            node_hfn * kPageSize + step.index * kPteSize;
-
-        cache::AccessResult access = hierarchy_->access(
-            core_, entry_hpa, cache::AccessKind::GuestPt);
-        result.walk_cycles += access.latency;
-        result.cycles += access.latency;
-        stats_.walk_cycles.inc(access.latency);
-        stats_.guest_pt_cycles.inc(access.latency);
-        stats_.guest_pt_accesses.inc();
-        if (access.served_by == cache::ServedBy::Memory) {
-            stats_.guest_pt_mem_accesses.inc();
-            stats_.guest_pt_level_mem.record(step.level);
-        }
-
-        if (!step.pte.present()) {
-            // Guest page fault: the guest kernel allocates and maps.
-            FaultOutcome fault = guest.fault_handler(gvpn);
-            stats_.guest_faults.inc();
-            if (!fault.ok)
-                ptm_throw("guest kernel cannot satisfy page fault on "
-                          "gvpn %llu (guest OOM)",
-                          static_cast<unsigned long long>(gvpn));
-            stats_.fault_cycles.inc(fault.cycles);
-            result.cycles += fault.cycles;
-            result.faulted = true;
-            return std::nullopt;  // retry the walk against the new PT state
-        }
-
-        if (guest.use_pwc && !cur.done)
-            pwc_.insert(gvpn, step.level, step.pte.frame());
-    }
-
-    if (!cur.complete) {
-        // An incomplete walk ends on a non-present entry, which is
-        // handled above; reaching here without completion cannot happen.
-        ptm_panic("guest walk stopped early without fault");
-    }
-    return step.pte.frame();
-}
-
-std::optional<std::uint64_t>
-NestedWalker::walk_guest_radix(GuestContext &guest, std::uint64_t gvpn,
-                               TranslationResult &result)
-{
-    // Fused variant of walk_guest_once for radix tables: same access,
-    // stat, PWC, and fault sequence, but the descent happens inline —
-    // no step buffer, no virtual walk() call per attempt.
-    const pt::PageTable &table = *guest.radix;
-    pt::PageTable::Cursor cur(table, gvpn);
-
-    // PWC resume: valid iff a silent descent reaches the cached level
-    // and finds the cached node there — the same predicate as checking
-    // steps[resume_level] of a full walk (a stale hit simply misses).
-    if (guest.use_pwc) {
-        if (std::optional<tlb::PageWalkCache::Hit> hit =
-                pwc_.lookup(gvpn)) {
-            pt::PageTable::Cursor probe(table, gvpn);
+            typename Table::Cursor probe = cur;
             bool reachable = true;
             while (probe.level() < hit->resume_level) {
                 if (!probe.pte().present() || probe.at_leaf()) {
@@ -263,20 +177,21 @@ NestedWalker::walk_guest_radix(GuestContext &guest, std::uint64_t gvpn,
 
         if (cur.at_leaf())
             return pte.frame();
-        if (guest.use_pwc)
+        if constexpr (kUsePwc)
             pwc_.insert(gvpn, cur.level(), pte.frame());
         cur.descend();
     }
 }
 
+template <class Table>
 void
-NestedWalker::walk_to_completion(GuestContext &guest, std::uint64_t gvpn,
+NestedWalker::walk_to_completion(const Table &table, GuestContext &guest,
+                                 std::uint64_t gvpn,
                                  TranslationResult &result)
 {
-    stats_.tlb_misses.inc();
     for (unsigned attempt = 0; attempt < kMaxAttempts; ++attempt) {
         std::optional<std::uint64_t> data_gfn =
-            walk_guest_once(guest, gvpn, result);
+            walk_guest_once(table, guest, gvpn, result);
         if (!data_gfn)
             continue;  // faulted; PT changed; retry
 
@@ -319,7 +234,11 @@ NestedWalker::translate_l1_missed(GuestContext &guest, Addr gva)
         return result;
     }
 
-    walk_to_completion(guest, gvpn, result);
+    stats_.tlb_misses.inc();
+    with_concrete_table(*guest.page_table, guest.radix,
+                        [&](const auto &table) {
+                            walk_to_completion(table, guest, gvpn, result);
+                        });
     stats_.walk_cycles_hist.record(result.walk_cycles);
     return result;
 }

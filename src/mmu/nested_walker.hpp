@@ -72,13 +72,12 @@ struct GuestContext {
     /// Handle a guest page fault on the faulting gvpn; must install a
     /// mapping.
     FaultHook fault_handler;
-    /// Consult/fill the page-walk cache. Only meaningful for tables with
-    /// radix_levels(); bound once at job creation from the table.
+    /// Not read by the walker: it consults the page-walk cache exactly
+    /// when the table is radix, which radix_levels() also reports.
     bool use_pwc = true;
     /// Concrete radix table behind page_table, when it is one (bound at
-    /// system setup). Lets the walker fuse the descent with its per-node
-    /// accounting — no step buffer, no virtual dispatch. nullptr keeps
-    /// the generic walk() path (hashed tables, direct test setups).
+    /// system setup); spares the walker its per-translation downcast.
+    /// nullptr lets the walker resolve the table type itself.
     const pt::PageTable *radix = nullptr;
 };
 
@@ -188,15 +187,6 @@ class NestedWalker {
         stats_.batched_ops.inc(ops);
     }
 
-    /**
-     * Translate a guest frame number to a host frame number the way the
-     * walker would (nested TLB, else a host 1D walk with lazy backing),
-     * charging cycles into @p result. Public for the host-walk ablation
-     * and tests.
-     */
-    std::uint64_t host_translate(std::uint64_t gfn,
-                                 TranslationResult &result);
-
     /// Drop a stale data-TLB entry (munmap, COW break).
     void invalidate(std::uint64_t gvpn);
     /// Drop a stale nested-TLB entry (host-side remap).
@@ -220,25 +210,35 @@ class NestedWalker {
     tlb::NestedTlb &nested_tlb() { return nested_tlb_; }
 
   private:
+    /**
+     * Translate a guest frame number to a host frame number: nested TLB,
+     * else a host 1D walk with lazy backing, charging cycles into
+     * @p result.
+     */
+    std::uint64_t host_translate(std::uint64_t gfn,
+                                 TranslationResult &result);
+
+    // The walk loops, one per side, each compiled per concrete table
+    // type (pt::PageTable, pt::HashedPageTable) and descending with the
+    // table's inline Cursor; only the radix instance uses the PWC.
+
+    /// Host 1D walk of @p gfn, fault-and-retry until backed.
+    template <class Table>
+    std::uint64_t host_walk(const Table &table, std::uint64_t gfn,
+                            TranslationResult &result);
+
     /// One attempt at walking the guest PT; returns the leaf data gfn or
     /// nullopt if a guest fault had to be taken (caller retries).
-    std::optional<std::uint64_t> walk_guest_once(GuestContext &guest,
-                                                 std::uint64_t gvpn,
-                                                 TranslationResult &result);
+    template <class Table>
+    std::optional<std::uint64_t>
+    walk_guest_once(const Table &table, GuestContext &guest,
+                    std::uint64_t gvpn, TranslationResult &result);
 
-    /// Fused radix fast paths: identical access/stat/fault sequences to
-    /// the generic versions, but descending node-by-node via
-    /// pt::PageTable::Cursor instead of materializing a step buffer.
-    std::optional<std::uint64_t> walk_guest_radix(GuestContext &guest,
-                                                  std::uint64_t gvpn,
-                                                  TranslationResult &result);
-    std::uint64_t host_walk_radix(std::uint64_t gfn,
-                                  TranslationResult &result);
-
-    /// The full TLB-missing 2D walk (fault-and-retry loop + final host
-    /// walk + TLB insert), shared by translate() and the batched path.
-    void walk_to_completion(GuestContext &guest, std::uint64_t gvpn,
-                            TranslationResult &result);
+    /// The full TLB-missing 2D walk: fault-and-retry loop, final host
+    /// walk, TLB insert.
+    template <class Table>
+    void walk_to_completion(const Table &table, GuestContext &guest,
+                            std::uint64_t gvpn, TranslationResult &result);
 
     unsigned core_;
     cache::MemoryHierarchy *hierarchy_;
@@ -247,12 +247,6 @@ class NestedWalker {
     tlb::PageWalkCache pwc_;
     tlb::NestedTlb nested_tlb_;
     WalkerStats stats_;
-    // Reusable step cursors: translate() is called once per simulated
-    // op, so the cursor blobs live here instead of being re-created per
-    // walk (guest and host walks overlap — host_translate runs mid
-    // guest walk — hence two cursors).
-    pt::StepCursor guest_cursor_;
-    pt::StepCursor host_cursor_;
 };
 
 }  // namespace ptm::mmu

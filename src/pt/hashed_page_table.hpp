@@ -33,12 +33,6 @@
 
 namespace ptm::pt {
 
-/// Hashed-table activity beyond the common PageTableStats.
-struct HashedTableStats {
-    Counter probes;    ///< total probe touches across walks/lookups
-    Counter rehashes;  ///< table grows (all entries re-placed)
-};
-
 class HashedPageTable final : public TranslationTable {
   public:
     /// Entry slots per 4 KiB bucket frame (512 eight-byte entries).
@@ -63,12 +57,6 @@ class HashedPageTable final : public TranslationTable {
     WalkResult walk(std::uint64_t vpn, WalkSteps &steps) const override;
     std::optional<Addr> leaf_entry_paddr(std::uint64_t vpn) const override;
 
-    /// Native resumable walk: probes are produced one at a time from
-    /// home/probe cursor state — no step buffer — with steps and probe
-    /// accounting identical to walk().
-    void walk_begin(std::uint64_t vpn, StepCursor &cur) const override;
-    bool walk_next(StepCursor &cur, WalkStep &step) const override;
-
     std::uint64_t root_frame() const override { return frames_.front(); }
     std::uint64_t node_count() const override { return frames_.size(); }
     const PageTableStats &stats() const override { return stats_; }
@@ -76,14 +64,8 @@ class HashedPageTable final : public TranslationTable {
     /// Probe sequences share no hierarchical prefix: no PWC contract.
     bool radix_levels() const override { return false; }
 
-    const HashedTableStats &hashed_stats() const { return hashed_stats_; }
-
     /// Live translations (diagnostics / tests).
     std::uint64_t entry_count() const { return occupied_; }
-    std::uint64_t slot_count() const
-    {
-        return static_cast<std::uint64_t>(slots_.size());
-    }
 
   private:
     enum class SlotState : std::uint8_t { Empty, Occupied, Tombstone };
@@ -122,8 +104,74 @@ class HashedPageTable final : public TranslationTable {
     std::uint64_t occupied_ = 0;  ///< live entries
     std::uint64_t used_ = 0;      ///< live + tombstoned slots
     PageTableStats stats_;
-    /// Probe accounting happens inside const walks/lookups.
-    mutable HashedTableStats hashed_stats_;
+
+  public:
+    /**
+     * Probe cursor with the accessors of PageTable::Cursor: one probe of
+     * vpn's chain per step, the exact touch sequence of walk(). level()
+     * is the probe number; at_leaf() means this probe matched the vpn
+     * and descend() moves to the next probe. A foreign or tombstone slot
+     * reads as present (the walker keeps probing); an empty slot, or the
+     * last allowed probe without a match, reads as non-present (a
+     * fault). Read-only; the cursor must not outlive kernel updates to
+     * the table.
+     */
+    class Cursor {
+      public:
+        Cursor(const HashedPageTable &table, std::uint64_t vpn)
+            : table_(&table), vpn_(vpn),
+              slot_(hash_vpn(vpn) & (table.slots_.size() - 1))
+        {
+        }
+
+        unsigned level() const { return probe_; }
+        std::uint64_t
+        node_frame() const
+        {
+            return table_->frames_[slot_ / kSlotsPerFrame];
+        }
+        unsigned
+        index() const
+        {
+            return static_cast<unsigned>(slot_ % kSlotsPerFrame);
+        }
+        Addr entry_paddr() const { return table_->slot_paddr(slot_); }
+        bool
+        at_leaf() const
+        {
+            const Slot &slot = table_->slots_[slot_];
+            return slot.state == SlotState::Occupied && slot.vpn == vpn_;
+        }
+        Pte
+        pte() const
+        {
+            const Slot &slot = table_->slots_[slot_];
+            if (at_leaf())
+                return slot.pte;
+            // Mapped vpns never run past the bound (insertion enforces
+            // it), so a miss on the last probe is a fault.
+            if (slot.state == SlotState::Empty ||
+                probe_ + 1 >= kMaxWalkSteps)
+                return Pte{};
+            return Pte::encode(
+                {.present = true,
+                 .frame = slot.state == SlotState::Occupied
+                              ? slot.pte.frame()
+                              : 0});
+        }
+        void
+        descend()
+        {
+            ++probe_;
+            slot_ = table_->probe_slot(slot_, 1);
+        }
+
+      private:
+        const HashedPageTable *table_;
+        std::uint64_t vpn_;
+        std::uint64_t slot_;
+        unsigned probe_ = 0;
+    };
 };
 
 }  // namespace ptm::pt

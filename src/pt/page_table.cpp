@@ -155,39 +155,10 @@ PageTable::update(std::uint64_t vpn, const PteFields &fields)
     return true;
 }
 
-unsigned
-PageTable::walk_into(std::uint64_t vpn, WalkStep *steps) const
-{
-    Cursor cur(*this, vpn);
-    unsigned count = 0;
-    for (;;) {
-        WalkStep &step = steps[count++];
-        step.level = cur.level();
-        step.node_frame = cur.node_frame();
-        step.index = cur.index();
-        step.entry_paddr = cur.entry_paddr();
-        step.pte = cur.pte();
-        if (!step.pte.present() || cur.at_leaf())
-            return count;
-        cur.descend();
-    }
-}
-
-unsigned
-PageTable::walk(std::uint64_t vpn,
-                std::array<WalkStep, kPtLevels> &steps) const
-{
-    return walk_into(vpn, steps.data());
-}
-
 WalkResult
 PageTable::walk(std::uint64_t vpn, WalkSteps &steps) const
 {
-    unsigned n = walk_into(vpn, steps.data());
-    return WalkResult{
-        .steps = n,
-        .complete = n == kPtLevels && steps[n - 1].pte.present(),
-    };
+    return record_walk(*this, vpn, steps);
 }
 
 std::optional<Addr>

@@ -82,14 +82,6 @@ class PageTable final : public TranslationTable {
     WalkResult walk(std::uint64_t vpn, WalkSteps &steps) const override;
 
     /**
-     * Radix-native walk into a kPtLevels-sized buffer (the historical
-     * signature; unit tests of the radix structure use it directly).
-     * @return number of steps written to @p steps (1..4).
-     */
-    unsigned walk(std::uint64_t vpn,
-                  std::array<WalkStep, kPtLevels> &steps) const;
-
-    /**
      * Physical byte address of the leaf PTE slot for @p vpn, if the leaf
      * node has a frame (the entry itself may be non-present). Used by
      * the fragmentation metric, which is about PTE *placement*.
@@ -148,7 +140,6 @@ class PageTable final : public TranslationTable {
     void release_frame(std::uint64_t frame);
     void release_children(const Node &node, unsigned level);
     Slot *pd_slot(std::uint64_t vpn);
-    unsigned walk_into(std::uint64_t vpn, WalkStep *steps) const;
 
     FrameSource frames_;
     std::uint64_t root_frame_ = 0;
@@ -159,10 +150,11 @@ class PageTable final : public TranslationTable {
   public:
     /**
      * Inline descent cursor: the exact touch sequence of walk(), one
-     * level at a time, without materializing a step buffer. The nested
-     * walker uses it to fuse the radix descent with its per-node cache
-     * accounting — one pass, no virtual dispatch. Read-only; the cursor
-     * must not outlive kernel updates to the table.
+     * level at a time, without materializing a step buffer. walk() and
+     * the nested walker's radix loop both descend with it, the walker
+     * accounting each node as it is reached — one pass, no virtual
+     * dispatch. Read-only; the cursor must not outlive kernel updates to
+     * the table.
      */
     class Cursor {
       public:

@@ -5,10 +5,11 @@
  * Mirrors vm::ProviderFactory on the translation side: a table is chosen
  * by name ("radix", "hashed", ...) in PlatformConfig / ScenarioConfig, so
  * the ablation suite can sweep table structures the same way it sweeps
- * allocation policies. Adding a table is one file: implement
- * TranslationTable, then register a constructor under a name (see the
- * registrations in table_factory.cpp, and DESIGN.md "Factories &
- * registries").
+ * allocation policies. Adding a table: implement TranslationTable with a
+ * Cursor (see translation_table.hpp), register a constructor under a
+ * name (see the registrations in table_factory.cpp, and DESIGN.md
+ * "Factories & registries"), and add one dispatch arm for it in
+ * mmu::NestedWalker, whose walk loops are compiled per table type.
  *
  * Unknown names fail fast with a SimError that lists every registered
  * name, so a typo in a config or sweep axis dies before any simulation

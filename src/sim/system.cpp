@@ -155,9 +155,9 @@ System::boot_slot(std::uint64_t guest_frames, bool churn_booted)
         .fault_handler =
             mmu::FaultHook(&System::host_fault_thunk, slot.get()),
     };
-    // Enable the walker's fused descent when the table really is the
-    // radix implementation (it always is on the host side today, but the
-    // cast keeps that a local fact rather than an assumption).
+    // Bind the concrete radix table, when the host table is one, so the
+    // walker skips its per-walk downcast. A non-radix translation_table
+    // config makes the host table hashed too.
     slot->host_ctx.radix =
         dynamic_cast<const pt::PageTable *>(slot->host_ctx.page_table);
 
@@ -372,9 +372,12 @@ System::make_job(VmSlot &slot, vm::Process &process,
         .page_table = &process.page_table(),
         .fault_handler =
             mmu::FaultHook(&System::guest_fault_thunk, job.get()),
-        // The PWC's resume contract only holds for radix hierarchies.
+        // Informational: the walker itself uses the PWC exactly for
+        // radix tables, whose levels keep its resume contract.
         .use_pwc = process.page_table().radix_levels(),
     };
+    // As on the host side: the bound radix table spares the walker its
+    // per-translation downcast.
     job->guest_ctx_.radix =
         dynamic_cast<const pt::PageTable *>(&process.page_table());
     job->workload_ctx_ =

@@ -4,7 +4,8 @@
  * of one fixed-seed paired scenario (pagerank victim + stress-ng churn,
  * buddy vs PTEMagnet) and of one direct System run (every WalkerStats
  * counter, the hierarchy's per-kind serving counters, per-level
- * CacheStats) against a checked-in snapshot.
+ * CacheStats), over radix and over hashed tables, against checked-in
+ * snapshots.
  *
  * Purpose: hot-path refactors (SoA tag stores, devirtualized replacement,
  * walker changes) must keep simulated behaviour bit-identical. Any
@@ -199,6 +200,52 @@ const Snapshot kGoldenSystem = {
     {"walker.translations", 26076},
     {"walker.walk_cycles", 156686},
 };
+const Snapshot kGoldenHashedSystem = {
+    {"cache.l1_0.hits", 23712},
+    {"cache.l1_0.misses", 11024},
+    {"cache.l1_0.resident_lines", 256},
+    {"cache.l2_0.hits", 3470},
+    {"cache.l2_0.misses", 7554},
+    {"cache.l2_0.resident_lines", 1024},
+    {"cache.llc.hits", 5042},
+    {"cache.llc.misses", 68582},
+    {"cache.llc.resident_lines", 4096},
+    {"hier.data.accesses", 78220},
+    {"hier.data.cycles", 12602406},
+    {"hier.data.served_by.L1", 19530},
+    {"hier.data.served_by.L2", 1835},
+    {"hier.data.served_by.LLC", 54},
+    {"hier.data.served_by.memory", 56801},
+    {"hier.guest-pt.accesses", 79224},
+    {"hier.guest-pt.cycles", 2608398},
+    {"hier.guest-pt.served_by.L1", 51676},
+    {"hier.guest-pt.served_by.L2", 15095},
+    {"hier.guest-pt.served_by.LLC", 3121},
+    {"hier.guest-pt.served_by.memory", 9332},
+    {"hier.host-pt.accesses", 48473},
+    {"hier.host-pt.cycles", 996146},
+    {"hier.host-pt.served_by.L1", 24298},
+    {"hier.host-pt.served_by.L2", 19859},
+    {"hier.host-pt.served_by.LLC", 1867},
+    {"hier.host-pt.served_by.memory", 2449},
+    {"system.total_steps", 78220},
+    {"walker.fault_cycles", 3682920},
+    {"walker.guest_faults", 1076},
+    {"walker.guest_pt_accesses", 4320},
+    {"walker.guest_pt_cycles", 301376},
+    {"walker.guest_pt_mem_accesses", 1271},
+    {"walker.host_faults", 684},
+    {"walker.host_pt_accesses", 4340},
+    {"walker.host_pt_cycles", 282330},
+    {"walker.host_pt_mem_accesses", 1110},
+    {"walker.host_walks", 2870},
+    {"walker.nested_tlb_hits", 4049},
+    {"walker.tlb_l1_hits", 20228},
+    {"walker.tlb_l2_hits", 3249},
+    {"walker.tlb_misses", 2599},
+    {"walker.translations", 26076},
+    {"walker.walk_cycles", 583706},
+};
 
 TEST(GoldenMetrics, PairedScenarioMatchesSnapshot)
 {
@@ -217,13 +264,16 @@ TEST(GoldenMetrics, PairedScenarioMatchesSnapshot)
 
 /// Direct System run pinning the raw counter planes the hot path feeds:
 /// all WalkerStats counters of the victim core, the hierarchy's per-kind
-/// serving matrix, and per-level CacheStats totals.
-TEST(GoldenMetrics, SystemCountersMatchSnapshot)
+/// serving matrix, and per-level CacheStats totals. @p table names the
+/// translation table of every guest process and of the host.
+Snapshot
+system_snapshot(const std::string &table)
 {
     PlatformConfig platform;
     platform.guest_frames = 16 * 1024;
     platform.host_frames = 24 * 1024;
     platform.seed = 99;
+    platform.translation_table = table;
 
     System system(platform, 3);
     workload::WorkloadOptions options;
@@ -296,12 +346,29 @@ TEST(GoldenMetrics, SystemCountersMatchSnapshot)
     cache_totals("llc", system.hierarchy().llc());
 
     s["system.total_steps"] = static_cast<double>(system.total_steps());
+    return s;
+}
 
+TEST(GoldenMetrics, SystemCountersMatchSnapshot)
+{
+    Snapshot s = system_snapshot("radix");
     if (print_mode()) {
         print_snapshot("kGoldenSystem", s);
         return;
     }
     expect_matches(s, kGoldenSystem, "system counters");
+}
+
+/// The same run over hashed guest and host tables: pins the probe-walk
+/// path, which no other snapshot covers.
+TEST(GoldenMetrics, HashedTableCountersMatchSnapshot)
+{
+    Snapshot s = system_snapshot("hashed");
+    if (print_mode()) {
+        print_snapshot("kGoldenHashedSystem", s);
+        return;
+    }
+    expect_matches(s, kGoldenHashedSystem, "hashed system counters");
 }
 
 }  // namespace

@@ -99,6 +99,81 @@ TEST_F(WalkerTest, ColdTranslationFaultsAndResolves)
     EXPECT_EQ(result.hfn, hpte->frame());
 }
 
+TEST_F(WalkerTest, HashedGuestTableWalksItsProbeChain)
+{
+    guest_.set_translation_table("hashed");
+    NestedWalker walker = make_walker();
+    vm::Process &proc = guest_.create_process("app");
+    ASSERT_EQ(proc.page_table().name(), "hashed");
+    Addr gva = proc.vas().mmap(kPageSize);
+    GuestContext ctx = guest_context(proc);
+
+    TranslationResult cold = walker.translate(ctx, gva);
+    EXPECT_TRUE(cold.faulted);
+    auto gpte = proc.page_table().lookup(page_number(gva));
+    ASSERT_TRUE(gpte);
+    auto hpte = vm_.page_table().lookup(gpte->frame());
+    ASSERT_TRUE(hpte);
+    EXPECT_EQ(cold.hfn, hpte->frame());
+
+    // A warm re-walk touches exactly the entries walk() reports.
+    walker.tlb().flush();
+    walker.reset_stats();
+    TranslationResult warm = walker.translate(ctx, gva);
+    EXPECT_FALSE(warm.faulted);
+    EXPECT_EQ(warm.hfn, cold.hfn);
+    pt::WalkSteps steps;
+    pt::WalkResult walk = proc.page_table().walk(page_number(gva), steps);
+    ASSERT_TRUE(walk.complete);
+    EXPECT_EQ(walker.stats().guest_pt_accesses.value(), walk.steps);
+}
+
+/// A translation table the walker has no walk loop for.
+class ForeignTable final : public pt::TranslationTable {
+  public:
+    bool map(std::uint64_t, const pt::PteFields &) override { return false; }
+    void unmap(std::uint64_t) override {}
+    std::optional<pt::Pte>
+    lookup(std::uint64_t) const override
+    {
+        return std::nullopt;
+    }
+    bool update(std::uint64_t, const pt::PteFields &) override
+    {
+        return false;
+    }
+    pt::WalkResult
+    walk(std::uint64_t, pt::WalkSteps &steps) const override
+    {
+        steps[0] = pt::WalkStep{};
+        return pt::WalkResult{.steps = 1, .complete = false};
+    }
+    std::optional<Addr>
+    leaf_entry_paddr(std::uint64_t) const override
+    {
+        return std::nullopt;
+    }
+    std::uint64_t root_frame() const override { return 0; }
+    std::uint64_t node_count() const override { return 0; }
+    const pt::PageTableStats &stats() const override { return stats_; }
+    std::string name() const override { return "foreign"; }
+
+  private:
+    pt::PageTableStats stats_;
+};
+
+TEST_F(WalkerTest, UnknownTableTypePanics)
+{
+    NestedWalker walker = make_walker();
+    ForeignTable table;
+    GuestContext ctx{
+        .page_table = &table,
+        .fault_handler = FaultHook(&WalkerTest::guest_fault, this),
+    };
+    EXPECT_DEATH(walker.translate(ctx, 0x1000),
+                 "cannot walk a 'foreign' translation table");
+}
+
 TEST_F(WalkerTest, SecondTranslationHitsL1Tlb)
 {
     NestedWalker walker = make_walker();

@@ -6,9 +6,9 @@
  * metric, every registered counter and histogram — because batches never
  * cross slice boundaries and what a kernel path can read mid-batch (the
  * trace clock, the op clock) advances per op. Only the ".wrf.batches"
- * count may differ: it describes the batching itself. The matrix covers both translation tables (radix
- * descends via cursors, hashed streams its probe sequence natively),
- * armed fault plans, forked (COW-capable) jobs under a churn storm with
+ * count may differ: it describes the batching itself. The matrix covers
+ * both translation tables (radix descends level by level, hashed probe
+ * by probe, each through its own table Cursor), armed fault plans, forked (COW-capable) jobs under a churn storm with
  * overcommit and dirty rings, and traced runs.
  */
 #include <gtest/gtest.h>

@@ -183,9 +183,10 @@ TEST_F(PageTableTest, WalkVisitsFourLevelsWithCorrectAddresses)
     std::uint64_t vpn = (3ull << 27) | (1ull << 18) | (2ull << 9) | 7;
     pt.map(vpn, {.frame = 424242});
 
-    std::array<WalkStep, kPtLevels> steps;
-    unsigned n = pt.walk(vpn, steps);
-    ASSERT_EQ(n, 4u);
+    WalkSteps steps;
+    WalkResult walk = pt.walk(vpn, steps);
+    ASSERT_EQ(walk.steps, 4u);
+    EXPECT_TRUE(walk.complete);
     EXPECT_EQ(steps[0].node_frame, pt.root_frame());
     for (unsigned i = 0; i < 4; ++i) {
         EXPECT_EQ(steps[i].level, i);
@@ -204,9 +205,10 @@ TEST_F(PageTableTest, WalkVisitsFourLevelsWithCorrectAddresses)
 TEST_F(PageTableTest, WalkStopsAtNonPresent)
 {
     PageTable pt(source_);
-    std::array<WalkStep, kPtLevels> steps;
-    unsigned n = pt.walk(123456, steps);
-    EXPECT_EQ(n, 1u);
+    WalkSteps steps;
+    WalkResult walk = pt.walk(123456, steps);
+    EXPECT_EQ(walk.steps, 1u);
+    EXPECT_FALSE(walk.complete);
     EXPECT_FALSE(steps[0].pte.present());
 }
 
@@ -295,8 +297,8 @@ struct RecordingSource {
 
 /// Every placement fact a reader can observe about @p vpn.
 struct Placement {
-    unsigned steps = 0;
-    std::array<WalkStep, kPtLevels> walk{};
+    WalkResult result;
+    WalkSteps walk{};
     std::vector<std::uint64_t> cursor_frames;
     std::vector<Addr> cursor_entries;
     std::optional<Addr> leaf_entry;
@@ -306,7 +308,7 @@ Placement
 observe(const PageTable &pt, std::uint64_t vpn)
 {
     Placement p;
-    p.steps = pt.walk(vpn, p.walk);
+    p.result = pt.walk(vpn, p.walk);
     PageTable::Cursor cur(pt, vpn);
     for (;;) {
         p.cursor_frames.push_back(cur.node_frame());
@@ -340,8 +342,10 @@ TEST_F(PageTableTest, EmptiedLeafKeepsFramesAndAddresses)
     for (std::uint64_t i = 0; i < 24; ++i) {
         SCOPED_TRACE(i);
         const Placement after = observe(pt, kLeafBase + i);
-        ASSERT_EQ(after.steps, kPtLevels);
-        ASSERT_EQ(before[i].steps, kPtLevels);
+        ASSERT_EQ(after.result.steps, kPtLevels);
+        ASSERT_EQ(before[i].result.steps, kPtLevels);
+        EXPECT_EQ(before[i].result.complete, i % 3 == 0);
+        EXPECT_FALSE(after.result.complete);
         for (unsigned l = 0; l < kPtLevels; ++l) {
             EXPECT_EQ(after.walk[l].level, before[i].walk[l].level);
             EXPECT_EQ(after.walk[l].node_frame,

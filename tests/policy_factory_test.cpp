@@ -374,6 +374,148 @@ TEST(HashedVsRadix, UpdateOfUnmappedEntryFailsOnBothTables)
     }
 }
 
+// ---- hashed Cursor vs walk() ------------------------------------------
+
+/// One-frame hashed table (512 slots) over a bump frame source.
+class HashedCursorTest : public ::testing::Test {
+  protected:
+    HashedCursorTest()
+        : table_(pt::FrameSource{
+                     .allocate = [this]() -> std::optional<std::uint64_t> {
+                         return next_frame_++;
+                     },
+                     .release = [](std::uint64_t) {},
+                 },
+                 1)
+    {
+    }
+
+    /// Home slot of @p vpn: the first probe of its walk.
+    unsigned
+    home_of(std::uint64_t vpn) const
+    {
+        pt::WalkSteps steps;
+        table_.walk(vpn, steps);
+        return steps[0].index;
+    }
+
+    /// @p n vpns sharing one home slot, probed for in the empty table.
+    std::vector<std::uint64_t>
+    colliding_vpns(std::size_t n) const
+    {
+        std::map<unsigned, std::vector<std::uint64_t>> by_home;
+        for (std::uint64_t vpn = 1;; ++vpn) {
+            std::vector<std::uint64_t> &group = by_home[home_of(vpn)];
+            group.push_back(vpn);
+            if (group.size() == n)
+                return group;
+        }
+    }
+
+    /// Drive a Cursor through @p vpn's probes the way the walker does and
+    /// check each step and the outcome against walk(); returns walk()'s
+    /// result and steps.
+    pt::WalkResult
+    expect_cursor_matches_walk(std::uint64_t vpn, pt::WalkSteps &steps) const
+    {
+        pt::WalkResult walk = table_.walk(vpn, steps);
+        pt::HashedPageTable::Cursor cur(table_, vpn);
+        for (unsigned i = 0;; ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_LT(i, walk.steps);
+            if (i >= walk.steps)
+                break;
+            EXPECT_EQ(cur.level(), steps[i].level);
+            EXPECT_EQ(cur.node_frame(), steps[i].node_frame);
+            EXPECT_EQ(cur.index(), steps[i].index);
+            EXPECT_EQ(cur.entry_paddr(), steps[i].entry_paddr);
+            EXPECT_EQ(cur.pte().raw(), steps[i].pte.raw());
+            if (!cur.pte().present()) {
+                EXPECT_FALSE(walk.complete);
+                EXPECT_EQ(i + 1, walk.steps);
+                break;
+            }
+            if (cur.at_leaf()) {
+                EXPECT_TRUE(walk.complete);
+                EXPECT_EQ(i + 1, walk.steps);
+                break;
+            }
+            cur.descend();
+        }
+        return walk;
+    }
+
+    std::uint64_t next_frame_ = 100;
+    pt::HashedPageTable table_;
+};
+
+TEST_F(HashedCursorTest, MappedVpnMatchesWalk)
+{
+    for (std::uint64_t vpn = 10; vpn < 40; ++vpn)
+        ASSERT_TRUE(table_.map(vpn, {.frame = 1000 + vpn}));
+    for (std::uint64_t vpn = 10; vpn < 40; ++vpn) {
+        SCOPED_TRACE(vpn);
+        pt::WalkSteps steps;
+        pt::WalkResult walk = expect_cursor_matches_walk(vpn, steps);
+        ASSERT_TRUE(walk.complete);
+        EXPECT_EQ(steps[walk.steps - 1].pte.frame(), 1000 + vpn);
+    }
+}
+
+TEST_F(HashedCursorTest, AbsentVpnEndsOnEmptySlot)
+{
+    // The absent vpn's home slot holds a foreign entry: probe 0 reads it
+    // as present, probe 1 finds the empty slot.
+    const std::vector<std::uint64_t> vpns = colliding_vpns(2);
+    ASSERT_TRUE(table_.map(vpns[0], {.frame = 7}));
+    pt::WalkSteps steps;
+    pt::WalkResult walk = expect_cursor_matches_walk(vpns[1], steps);
+    EXPECT_FALSE(walk.complete);
+    ASSERT_EQ(walk.steps, 2u);
+    EXPECT_TRUE(steps[0].pte.present());
+    EXPECT_EQ(steps[0].pte.frame(), 7u);
+    EXPECT_FALSE(steps[1].pte.present());
+}
+
+TEST_F(HashedCursorTest, ProbeChainPassesThroughTombstone)
+{
+    const std::vector<std::uint64_t> vpns = colliding_vpns(2);
+    ASSERT_TRUE(table_.map(vpns[0], {.frame = 7}));
+    ASSERT_TRUE(table_.map(vpns[1], {.frame = 8}));
+    table_.unmap(vpns[0]);
+    pt::WalkSteps steps;
+    pt::WalkResult walk = expect_cursor_matches_walk(vpns[1], steps);
+    ASSERT_TRUE(walk.complete);
+    ASSERT_EQ(walk.steps, 2u);
+    EXPECT_TRUE(steps[0].pte.present()) << "a tombstone keeps probing";
+    EXPECT_EQ(steps[0].pte.frame(), 0u);
+    EXPECT_EQ(steps[1].pte.frame(), 8u);
+}
+
+TEST_F(HashedCursorTest, FullProbeChainEndsNonPresentAtTheBound)
+{
+    // kMaxWalkSteps entries fill vpn's whole allowed chain: the last
+    // probe holds a foreign entry yet reads as non-present.
+    const std::vector<std::uint64_t> vpns =
+        colliding_vpns(pt::kMaxWalkSteps + 1);
+    for (unsigned i = 0; i < pt::kMaxWalkSteps; ++i)
+        ASSERT_TRUE(table_.map(vpns[i], {.frame = 50 + i}));
+    ASSERT_EQ(table_.node_count(), 1u) << "the table must not have grown";
+    pt::WalkSteps steps;
+    pt::WalkResult walk =
+        expect_cursor_matches_walk(vpns[pt::kMaxWalkSteps], steps);
+    EXPECT_FALSE(walk.complete);
+    ASSERT_EQ(walk.steps, pt::kMaxWalkSteps);
+    for (unsigned i = 0; i + 1 < pt::kMaxWalkSteps; ++i)
+        EXPECT_TRUE(steps[i].pte.present());
+    EXPECT_FALSE(steps[pt::kMaxWalkSteps - 1].pte.present());
+
+    // The last chain member is still reached, on the last probe.
+    walk = expect_cursor_matches_walk(vpns[pt::kMaxWalkSteps - 1], steps);
+    EXPECT_TRUE(walk.complete);
+    EXPECT_EQ(walk.steps, pt::kMaxWalkSteps);
+}
+
 TEST(HashedVsRadix, TinyScenarioProducesIdenticalTranslations)
 {
     // Same workload, same seed, same policy — only the translation

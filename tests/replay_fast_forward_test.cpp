@@ -37,10 +37,9 @@ tiny_config()
  * Measured-phase identity: every result field derived from the
  * measurement window or from functional (mapping/allocator) state must
  * match exactly. Lifetime-scoped microarchitectural counters (cache and
- * TLB structure stats, hashed-table probes) legitimately differ — the
- * fast-forwarded run never exercises them during init — so the stats
- * comparison covers the Measurement-scoped path families instead of the
- * whole snapshot.
+ * TLB structure stats) legitimately differ — the fast-forwarded run
+ * never exercises them during init — so the stats comparison covers the
+ * Measurement-scoped path families instead of the whole snapshot.
  */
 void
 expect_measured_identical(const ScenarioResult &a, const ScenarioResult &b,
