@@ -104,7 +104,7 @@ HostKernel::create_vm()
 bool
 HostKernel::unback(VmInstance &vm, std::uint64_t gfn)
 {
-    std::optional<pt::Pte> pte = vm.page_table().lookup(gfn);
+    std::optional<pt::Pte> pte = vm.page_table().unmap(gfn);
     if (!pte)
         return false;  // never backed: the balloon release is unproductive
 
@@ -114,7 +114,6 @@ HostKernel::unback(VmInstance &vm, std::uint64_t gfn)
         on_backing_invalidated(vm.id(), gfn);
 
     const std::uint64_t hfn = pte->frame();
-    vm.page_table().unmap(gfn);
     memory_.set_use(hfn, 1, mem::FrameUse::Free);
     buddy_.free(hfn);
     vm.note_unbacked();

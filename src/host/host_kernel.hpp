@@ -95,9 +95,8 @@ class HostKernel {
 
     /**
      * Drop the host backing of @p vm's guest frame @p gfn (balloon path):
-     * unmap the host PTE and free the machine frame. Fires
-     * on_backing_invalidated first so stale nested-TLB entries are
-     * shot down before the frame can be reused.
+     * unmap the host PTE, fire on_backing_invalidated so stale nested-TLB
+     * entries are shot down, then free the machine frame for reuse.
      * @return false when @p gfn was never backed (unproductive release).
      */
     bool unback(VmInstance &vm, std::uint64_t gfn);
@@ -141,8 +140,9 @@ class HostKernel {
     /// The sink must outlive the kernel or be disarmed first.
     void set_trace_sink(obs::TraceSink *sink) { trace_ = sink; }
 
-    /// Sim-layer hook: invoked before a backing (vm_id, gfn) is dropped
-    /// by unback(), so the owning VM's nested TLBs can be invalidated.
+    /// Sim-layer hook: invoked by unback() after the host PTE of
+    /// (vm_id, gfn) is cleared and before its frame is freed, so the
+    /// owning VM's nested TLBs can be invalidated.
     std::function<void(std::int32_t vm_id, std::uint64_t gfn)>
         on_backing_invalidated;
 

@@ -67,18 +67,15 @@ HashedPageTable::hash_vpn(std::uint64_t vpn)
 std::uint64_t
 HashedPageTable::find_slot(std::uint64_t vpn) const
 {
-    std::uint64_t home = hash_vpn(vpn) & (slots_.size() - 1);
-    for (unsigned i = 0; i < kMaxWalkSteps; ++i) {
-        std::uint64_t s = probe_slot(home, i);
-        const Slot &slot = slots_[s];
-        if (slot.state == SlotState::Empty)
+    // The walker's probe rule: an empty slot, or the last allowed probe
+    // without a match, reads as non-present and ends the chain.
+    Cursor cur(*this, vpn);
+    while (!cur.at_leaf()) {
+        if (!cur.pte().present())
             return kNpos;
-        if (slot.state == SlotState::Occupied && slot.vpn == vpn)
-            return s;
+        cur.descend();
     }
-    // Insertion enforces the probe bound, so a vpn absent within it is
-    // absent outright.
-    return kNpos;
+    return cur.slot();
 }
 
 bool
@@ -188,16 +185,18 @@ HashedPageTable::map(std::uint64_t vpn, const PteFields &fields)
     }
 }
 
-void
+std::optional<Pte>
 HashedPageTable::unmap(std::uint64_t vpn)
 {
     std::uint64_t s = find_slot(vpn);
     if (s == kNpos)
-        return;
+        return std::nullopt;
+    const Pte old = slots_[s].pte;
     // Tombstone, not Empty: later entries probe through this slot.
     slots_[s] = Slot{0, Pte{}, SlotState::Tombstone};
     --occupied_;
     stats_.unmappings.inc();
+    return old;
 }
 
 std::optional<Pte>

@@ -51,7 +51,7 @@ class HashedPageTable final : public TranslationTable {
     HashedPageTable &operator=(const HashedPageTable &) = delete;
 
     bool map(std::uint64_t vpn, const PteFields &fields) override;
-    void unmap(std::uint64_t vpn) override;
+    std::optional<Pte> unmap(std::uint64_t vpn) override;
     std::optional<Pte> lookup(std::uint64_t vpn) const override;
     bool update(std::uint64_t vpn, const PteFields &fields) override;
     WalkResult walk(std::uint64_t vpn, WalkSteps &steps) const override;
@@ -87,7 +87,8 @@ class HashedPageTable final : public TranslationTable {
                (slot % kSlotsPerFrame) * kPteSize;
     }
 
-    /// Slot holding @p vpn, found within the probe bound; npos if absent.
+    /// Slot holding @p vpn, found by the Cursor descent (the probe rule
+    /// walk() follows); npos if absent.
     std::uint64_t find_slot(std::uint64_t vpn) const;
 
     /// Double the frame count and re-place every live entry; false on
@@ -167,6 +168,9 @@ class HashedPageTable final : public TranslationTable {
         }
 
       private:
+        friend class HashedPageTable;
+        std::uint64_t slot() const { return slot_; }
+
         const HashedPageTable *table_;
         std::uint64_t vpn_;
         std::uint64_t slot_;

@@ -114,19 +114,21 @@ PageTable::map(std::uint64_t vpn, const PteFields &fields)
     return true;
 }
 
-void
+std::optional<Pte>
 PageTable::unmap(std::uint64_t vpn)
 {
     Slot *pd = pd_slot(vpn);
     if (pd == nullptr || !pd->child)
-        return;
+        return std::nullopt;
     Pte &leaf = pd->child->slots[index_at(vpn, kPtLevels - 1)].pte;
     if (!leaf.present())
-        return;
+        return std::nullopt;
+    const Pte old = leaf;
     leaf = Pte{};
     stats_.unmappings.inc();
     if (--pd->child->present == 0)
         pd->child.reset();
+    return old;
 }
 
 std::optional<Pte>

@@ -67,8 +67,9 @@ class PageTable final : public TranslationTable {
      * leaf's host storage is freed: its PD entry stays present with the
      * leaf's frame, readers see a leaf of non-present entries there, and
      * the next map() under it rebuilds the leaf at that frame.
+     * @return the cleared leaf entry; nullopt if @p vpn was not mapped.
      */
-    void unmap(std::uint64_t vpn) override;
+    std::optional<Pte> unmap(std::uint64_t vpn) override;
 
     /// Current leaf entry for @p vpn, if the whole path exists.
     std::optional<Pte> lookup(std::uint64_t vpn) const override;

@@ -112,7 +112,8 @@ class TranslationTable {
 
     /// Remove a translation (structure frames may be retained, as Linux
     /// keeps PT pages until region teardown).
-    virtual void unmap(std::uint64_t vpn) = 0;
+    /// @return the leaf entry it cleared; nullopt if nothing was mapped.
+    virtual std::optional<Pte> unmap(std::uint64_t vpn) = 0;
 
     /// Current leaf entry for @p vpn, if mapped.
     virtual std::optional<Pte> lookup(std::uint64_t vpn) const = 0;

@@ -63,21 +63,15 @@ run_scenario(const ScenarioConfig &config)
     const auto wall_start = std::chrono::steady_clock::now();
 
     const bool multi_vm = config.multi_vm();
-    if (multi_vm &&
-        (!config.trace_record.empty() || !config.trace_replay.empty())) {
-        ptm_throw("trace record/replay supports single-VM scenarios only "
-                  "(vms=%u, overcommit %s, churn %s)",
-                  config.vms, config.overcommit.armed() ? "armed" : "off",
-                  config.churn.armed() ? "armed" : "off");
-    }
-    if (config.replay_fast_forward &&
-        (config.trace_replay.empty() || config.measure_init)) {
-        ptm_throw("replay_fast_forward requires trace_replay and "
-                  "measure_init=false: the init phase must come from a "
-                  "recorded stream and be excluded from measurement "
-                  "(trace_replay %s, measure_init %s)",
-                  config.trace_replay.empty() ? "unset" : "set",
-                  config.measure_init ? "true" : "false");
+    if (!config.trace_record.empty() || !config.trace_replay.empty() ||
+        config.replay_fast_forward || config.cold_measurement) {
+        ptm_throw("run_scenario has no trace record/replay, replay "
+                  "fast-forward or cold measurement (trace_record '%s', "
+                  "trace_replay '%s', replay_fast_forward %s, "
+                  "cold_measurement %s)",
+                  config.trace_record.c_str(), config.trace_replay.c_str(),
+                  config.replay_fast_forward ? "true" : "false",
+                  config.cold_measurement ? "true" : "false");
     }
 
     // Every job needs a core for its whole life; churn boots/forks each
@@ -91,18 +85,6 @@ run_scenario(const ScenarioConfig &config)
         config.churn.count(ChurnAction::Boot) +
         config.churn.count(ChurnAction::Fork));
 
-    // Replay streams come from here; declared first so the TraceFile
-    // outlives the jobs decoding from it (and the System owning them).
-    std::optional<workload::TraceFile> trace;
-    if (!config.trace_replay.empty()) {
-        trace.emplace(workload::TraceFile::load(config.trace_replay));
-        if (trace->job_count() != cores) {
-            ptm_throw("trace %s has %u job streams, scenario needs %u "
-                      "(victim + co-runner workers)",
-                      config.trace_replay.c_str(), trace->job_count(),
-                      cores);
-        }
-    }
     PlatformConfig platform = config.platform;
     platform.seed ^= config.seed * 0x9e3779b97f4a7c15ULL;
 
@@ -145,26 +127,13 @@ run_scenario(const ScenarioConfig &config)
     options.scale = config.scale;
     options.seed = config.seed;
 
-    // Per-job workload source, by mode:
-    //  - replay: decode the trace stream for this job index;
-    //  - record: the real generator wrapped in a recorder (raw pointers
-    //    collected so the trace can be written after the run);
-    //  - otherwise: the StreamCache memo of the generator's stream (the
-    //    second leg of a paired run and repeated suite legs decode
-    //    instead of regenerating), or the bare generator when disabled.
-    std::vector<const workload::RecordingWorkload *> recorders;
-    auto job_workload = [&](const std::string &name,
-                            const workload::WorkloadOptions &opt,
-                            unsigned job_index)
+    // Per-job workload source: the StreamCache memo of the generator's
+    // stream (the second leg of a paired run and repeated suite legs
+    // decode instead of regenerating), or the bare generator when
+    // disabled.
+    auto job_workload = [](const std::string &name,
+                           const workload::WorkloadOptions &opt)
         -> std::unique_ptr<workload::Workload> {
-        if (trace)
-            return trace->make_replayer(job_index);
-        if (!config.trace_record.empty()) {
-            auto rec = std::make_unique<workload::RecordingWorkload>(
-                workload::make_workload(name, opt));
-            recorders.push_back(rec.get());
-            return rec;
-        }
         if (workload::StreamCache::enabled())
             return workload::StreamCache::instance().replay(name, opt);
         return workload::make_workload(name, opt);
@@ -175,19 +144,15 @@ run_scenario(const ScenarioConfig &config)
     // stay identical across victim-param sweeps).
     workload::WorkloadOptions victim_options = options;
     victim_options.params = config.workload_params;
-    Job &victim =
-        system.add_job(job_workload(config.victim, victim_options, 0));
+    Job &victim = system.add_job(job_workload(config.victim, victim_options));
     unsigned worker_index = 0;
     for (const CorunnerSpec &spec : config.corunners) {
         for (unsigned w = 0; w < spec.workers; ++w) {
             workload::WorkloadOptions co_options = options;
             co_options.seed = config.seed + 1000 + (++worker_index);
-            system.add_job(
-                job_workload(spec.name, co_options, worker_index));
+            system.add_job(job_workload(spec.name, co_options));
         }
     }
-    // Co-resident VMs' jobs (never trace-driven: multi-VM runs refuse
-    // record/replay above, so the job index does not matter).
     for (unsigned k = 1; k < config.vms; ++k) {
         const VmSpec spec = config.vm_spec_for(k);
         for (unsigned w = 0; w < spec.workers; ++w) {
@@ -195,8 +160,7 @@ run_scenario(const ScenarioConfig &config)
             vm_options.scale =
                 spec.scale > 0.0 ? spec.scale : config.scale;
             vm_options.seed = config.seed + 10'000ULL * k + w;
-            system.add_job(k,
-                           job_workload(spec.workload, vm_options, 0));
+            system.add_job(k, job_workload(spec.workload, vm_options));
         }
     }
 
@@ -214,12 +178,6 @@ run_scenario(const ScenarioConfig &config)
         if (fraction > result.peak_unused_reservation_fraction)
             result.peak_unused_reservation_fraction = fraction;
     };
-
-    // Fast-forward mode: the warmup and init phases below run
-    // functionally (mapping state only); the detailed model takes over
-    // at the init-end handover before Phase B.
-    if (config.replay_fast_forward)
-        system.set_functional_mode(true);
 
     // Phase 0: co-runners reach steady state before the victim starts.
     if (config.corunner_warmup_ops > 0 && !config.corunners.empty()) {
@@ -261,16 +219,6 @@ run_scenario(const ScenarioConfig &config)
     }
 
     // Phase B: measure.
-    if (config.replay_fast_forward) {
-        // Handover: leave functional mode and flush the (empty) micro-
-        // architectural state, so the measured phase runs the detailed
-        // model from exactly the cold state a cold_measurement run
-        // measures from.
-        system.set_functional_mode(false);
-        system.flush_microarch();
-    } else if (config.cold_measurement) {
-        system.flush_microarch();
-    }
     if (!config.measure_init)
         system.reset_measurement();
     std::uint64_t remaining = config.measure_ops;
@@ -423,9 +371,6 @@ run_scenario(const ScenarioConfig &config)
         result.metrics.set("ws_guided_sweeps",
                            static_cast<double>(result.ws_guided_sweeps));
     }
-
-    if (!config.trace_record.empty())
-        workload::TraceFile::write(config.trace_record, recorders);
 
     result.total_ops = system.total_steps();
     result.host_seconds =

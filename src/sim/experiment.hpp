@@ -88,27 +88,13 @@ struct ScenarioConfig {
     bool measure_init = false;
     /// Deterministic fault/pressure schedule; inert unless armed().
     FaultPlan fault_plan;
-    /// When set, every job's op stream (ops + context interactions) is
-    /// recorded and written to this .ptt file when the run ends.
+    /// Retired .ptt recording; perfbench still reads it. Must stay empty.
     std::string trace_record;
-    /// When set, jobs replay the named .ptt file's streams instead of
-    /// running their generators. The trace must have exactly one stream
-    /// per configured job (victim first, then co-runner workers in
-    /// order). Because scheduling is done in op space, one recorded
-    /// trace drives every {policy × table} leg identically.
+    /// Retired .ptt replay; perfbench still reads it. Must stay empty.
     std::string trace_replay;
-    /// Replay-only fast-forward: apply the recorded warmup/init phases
-    /// functionally (mapping-state effects only — same kernel calls in
-    /// the same fault order, no TLB/cache/cycle simulation), then flush
-    /// all microarchitectural state and drop into the detailed model at
-    /// the recorded init-end marker. Requires trace_replay set and
-    /// measure_init false. Measured-phase metrics are bit-identical to
-    /// a full-fidelity run with cold_measurement set.
+    /// Retired init fast-forward; perfbench still reads it. Must stay false.
     bool replay_fast_forward = false;
-    /// Flush TLBs, PWCs, nested TLBs, and the cache hierarchy at the
-    /// init/measure boundary so measurement starts from a cold
-    /// machine. This is the state a fast-forwarded run measures from;
-    /// set it on a full-fidelity run to make the two comparable.
+    /// Retired cold-start flush; perfbench still reads it. Must stay false.
     bool cold_measurement = false;
     /// Co-resident VM count sharing the host (1 = the historic single-VM
     /// scenario). VMs beyond the first are described by vm_specs; when
@@ -119,7 +105,7 @@ struct ScenarioConfig {
     /// OOM-kill); inert unless armed().
     OvercommitPolicy overcommit;
     /// Seeded VM churn schedule (boot/kill/fork storms); inert unless
-    /// armed(). Incompatible with trace record/replay.
+    /// armed().
     ChurnPlan churn;
     /// Per-VM dirty rings + working-set-guided reclaim; inert unless
     /// armed() — disarmed runs are bit-identical to pre-ring builds.
@@ -238,34 +224,6 @@ struct ScenarioConfig {
     with_fault_plan(FaultPlan plan)
     {
         fault_plan = std::move(plan);
-        return *this;
-    }
-    /// Record all job op streams to @p path (.ptt) at run end.
-    ScenarioConfig &
-    with_trace_record(std::string path)
-    {
-        trace_record = std::move(path);
-        return *this;
-    }
-    /// Replay job op streams from @p path (.ptt) instead of generators.
-    ScenarioConfig &
-    with_trace_replay(std::string path)
-    {
-        trace_replay = std::move(path);
-        return *this;
-    }
-    /// Fast-forward the replayed init phases (see replay_fast_forward).
-    ScenarioConfig &
-    with_replay_fast_forward(bool ff = true)
-    {
-        replay_fast_forward = ff;
-        return *this;
-    }
-    /// Start measurement from flushed microarchitectural state.
-    ScenarioConfig &
-    with_cold_measurement(bool cold = true)
-    {
-        cold_measurement = cold;
         return *this;
     }
     /// Co-locate @p n VMs on the host (clamped to at least 1).

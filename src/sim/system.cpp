@@ -724,114 +724,6 @@ System::step_batch(Job &job, unsigned max_ops)
     return n;
 }
 
-void
-System::ensure_backed(VmSlot &slot, std::uint64_t gfn)
-{
-    // The walker's host leg, reduced to its mapping-state effect: a
-    // radix host walk is complete-and-present iff lookup() returns a
-    // present entry (the same holds for the hashed table — its probe
-    // bound makes lookup and walk agree on absence), and the only
-    // mapping-state side effect of a host walk is the lazy-backing
-    // fault taken on a missing leaf. Nested-TLB/PWC hits in the
-    // detailed run never hide a fault here: a cached translation was
-    // walked before, and single-VM replay scenarios (the only ones
-    // fast-forward supports) never unback a frame afterwards.
-    for (;;) {
-        std::optional<pt::Pte> pte = slot.host_ctx.page_table->lookup(gfn);
-        if (pte && pte->present())
-            return;
-        mmu::FaultOutcome fault = slot.host_ctx.fault_handler(gfn);
-        if (!fault.ok) {
-            ptm_throw("host kernel cannot back guest frame %llu "
-                      "(host OOM)",
-                      static_cast<unsigned long long>(gfn));
-        }
-    }
-}
-
-void
-System::step_functional(Job &job)
-{
-    if (job.finished_ || job.paused_)
-        return;
-
-    std::optional<workload::MemOp> op =
-        job.workload_->next(*job.workload_ctx_);
-    if (!op) {
-        job.finished_ = true;
-        return;
-    }
-
-    if (op->write && job.cow_possible_) {
-        job.slot_->guest->handle_write(*job.process_,
-                                       page_number(op->gva));
-    }
-
-    const std::uint64_t gvpn = page_number(op->gva);
-    pt::TranslationTable &gpt = job.process_->page_table();
-    VmSlot &slot = *job.slot_;
-
-    // Fast path: the data page is mapped in both dimensions. Safe to
-    // skip the node-frame checks because the op that installed the
-    // guest leaf ran the slow path below, which host-backed every
-    // guest-PT node frame on the path — and nothing unbacks frames in
-    // the scenarios functional mode supports.
-    bool mapped = false;
-    if (std::optional<pt::Pte> leaf = gpt.lookup(gvpn);
-        leaf && leaf->present()) {
-        std::optional<pt::Pte> host =
-            slot.host_ctx.page_table->lookup(leaf->frame());
-        mapped = host && host->present();
-    }
-
-    if (!mapped) {
-        // Slow path: replay the detailed walker's fault order exactly —
-        // per guest walk step, host-back the node frame, then check the
-        // entry (guest fault and retry on a non-present one); finally
-        // host-back the data page. Fault order decides allocation
-        // order, so this is what keeps the mapping state bit-identical
-        // to a detailed run's.
-        pt::WalkSteps steps;
-        for (;;) {
-            pt::WalkResult walk = gpt.walk(gvpn, steps);
-            bool faulted = false;
-            for (unsigned i = 0; i < walk.steps; ++i) {
-                ensure_backed(slot, steps[i].node_frame);
-                if (!steps[i].pte.present()) {
-                    mmu::FaultOutcome fault =
-                        job.guest_ctx_.fault_handler(gvpn);
-                    if (!fault.ok) {
-                        ptm_throw("guest kernel cannot satisfy page "
-                                  "fault on gvpn %llu (guest OOM)",
-                                  static_cast<unsigned long long>(gvpn));
-                    }
-                    faulted = true;
-                    break;
-                }
-            }
-            if (faulted)
-                continue;  // retry against the new PT state
-            ensure_backed(slot, steps[walk.steps - 1].pte.frame());
-            break;
-        }
-    }
-
-    // Only the op clocks advance: job ops drive the scenario phase
-    // loops, total_steps_ the throughput denominator. Cycle and access
-    // counters stay untouched — they are Measurement-scoped and reset
-    // at the detailed handover anyway.
-    ++total_steps_;
-    job.stats_.ops.inc();
-}
-
-void
-System::flush_microarch()
-{
-    for (auto &job : jobs_)
-        job->walker_->flush_all();
-    hierarchy_->flush_all();
-}
-
 mmu::FaultOutcome
 System::host_fault_thunk(void *ctx, std::uint64_t gfn)
 {

@@ -275,27 +275,6 @@ class System {
     Job &fork_job(Job &parent,
                   std::unique_ptr<workload::Workload> workload);
 
-    // ---- functional fast-forward (replay init phases) ---------------
-    //
-    // In functional mode run_until() applies each operation's
-    // *mapping-state* effects only: COW breaks, guest page faults, and
-    // host lazy backing run through the same kernel paths in the same
-    // order as a detailed run, but no TLB, cache, or cycle state is
-    // touched. The scenario runner uses it to fast-forward a .ptt replay
-    // through its recorded warmup/init phases and drop into the detailed
-    // model at the init-end marker (ScenarioConfig::replay_fast_forward);
-    // see step_functional() for why the resulting mapping state is
-    // bit-identical to a detailed run's.
-
-    /// Enter/leave functional mode (affects run_until()).
-    void set_functional_mode(bool on) { functional_mode_ = on; }
-    bool functional_mode() const { return functional_mode_; }
-
-    /// Flush every core's translation caches and the whole cache
-    /// hierarchy: the cold-start state both a fast-forwarded and a
-    /// cold_measurement run measure from.
-    void flush_microarch();
-
     /**
      * Round-robin over non-paused, non-finished jobs in slices of
      * config.slice_ops until @p stop returns true (checked between
@@ -305,8 +284,7 @@ class System {
      * Within a slice, ops are dispatched in batches of
      * min(walk_batch, remaining slice) through step_batch(); batches
      * never cross slice boundaries, so scheduling interleave and the
-     * stop-check points are identical at every batch depth. Functional
-     * mode steps op by op through step_functional() instead.
+     * stop-check points are identical at every batch depth.
      *
      * The job vector is never mutated from inside this loop: churn
      * boots/forks happen in churn_tick() between calls, and OOM kills
@@ -322,18 +300,10 @@ class System {
                 if (job->finished_ || job->paused_)
                     continue;
                 any_alive = true;
-                if (functional_mode_) {
-                    for (unsigned i = 0;
-                         i < config_.slice_ops && !job->finished_; ++i) {
-                        step_functional(*job);
-                    }
-                } else {
-                    unsigned left = config_.slice_ops;
-                    while (left > 0 && !job->finished_) {
-                        unsigned want =
-                            left < batch_depth_ ? left : batch_depth_;
-                        left -= step_batch(*job, want);
-                    }
+                unsigned left = config_.slice_ops;
+                while (left > 0 && !job->finished_) {
+                    unsigned want = left < batch_depth_ ? left : batch_depth_;
+                    left -= step_batch(*job, want);
                 }
                 if (stop())
                     return;
@@ -472,12 +442,6 @@ class System {
      */
     unsigned step_batch(Job &job, unsigned max_ops);
 
-    /// One functional-mode operation: mapping-state effects only.
-    void step_functional(Job &job);
-    /// Make guest frame @p gfn host-backed, taking host faults through
-    /// the slot's handler exactly as the walker would.
-    void ensure_backed(VmSlot &slot, std::uint64_t gfn);
-
     // FaultHook trampolines (bound once per VM slot / per job; see
     // mmu::FaultHook).
     static mmu::FaultOutcome host_fault_thunk(void *ctx,
@@ -499,7 +463,6 @@ class System {
     unsigned batch_depth_ = 1;
     /// step_batch()'s op buffer: a member, so no call re-initializes it.
     workload::MemOp batch_ops_[kMaxBatch];
-    bool functional_mode_ = false;
     /// Never registered: survives reset_measurement() as the denominator
     /// of the simulator-throughput metric.
     std::uint64_t total_steps_ = 0;

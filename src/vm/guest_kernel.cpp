@@ -236,7 +236,6 @@ void
 GuestKernel::unmap_one(Process &proc, std::uint64_t gvpn, pt::Pte pte)
 {
     std::uint64_t gfn = pte.frame();
-    proc.page_table().unmap(gvpn);
     proc.add_rss(-1);
     proc.stats().pages_freed.inc();
     stats_.pages_freed.inc();
@@ -261,8 +260,7 @@ GuestKernel::unmap_one(Process &proc, std::uint64_t gvpn, pt::Pte pte)
 void
 GuestKernel::free_page(Process &proc, std::uint64_t gvpn)
 {
-    std::optional<pt::Pte> pte = proc.page_table().lookup(gvpn);
-    if (pte)
+    if (std::optional<pt::Pte> pte = proc.page_table().unmap(gvpn))
         unmap_one(proc, gvpn, *pte);
 }
 
@@ -274,8 +272,7 @@ GuestKernel::free_region(Process &proc, Addr base)
         ptm_panic("free_region: 0x%llx is not a region base",
                   static_cast<unsigned long long>(base));
     for (std::uint64_t vpn = vma->begin_page; vpn < vma->end_page; ++vpn) {
-        std::optional<pt::Pte> pte = proc.page_table().lookup(vpn);
-        if (pte)
+        if (std::optional<pt::Pte> pte = proc.page_table().unmap(vpn))
             unmap_one(proc, vpn, *pte);
     }
 }
@@ -285,8 +282,7 @@ GuestKernel::exit_process(Process &proc)
 {
     for (const Vma &vma : proc.vas().vmas()) {
         for (std::uint64_t vpn = vma.begin_page; vpn < vma.end_page; ++vpn) {
-            std::optional<pt::Pte> pte = proc.page_table().lookup(vpn);
-            if (pte)
+            if (std::optional<pt::Pte> pte = proc.page_table().unmap(vpn))
                 unmap_one(proc, vpn, *pte);
         }
     }

@@ -224,6 +224,7 @@ class GuestKernel {
 
   private:
     pt::FrameSource pt_frame_source(std::int32_t pid);
+    /// Release @p gvpn's frame after its leaf @p pte left the table.
     void unmap_one(Process &proc, std::uint64_t gvpn, pt::Pte pte);
     void invalidate_translation(Process &proc, std::uint64_t gvpn);
 

@@ -2,9 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
-#include "common/error.hpp"
 #include "common/log.hpp"
 #include "workload/catalog.hpp"
 
@@ -316,148 +314,6 @@ RecordingWorkload::next_batch(WorkloadContext &ctx, MemOp *out,
         enc_.op(out[i]);
     note_init_phase();
     return n;
-}
-
-// ---- TraceFile ---------------------------------------------------------
-
-TraceFile
-TraceFile::load(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        ptm_throw("cannot open trace file %s", path.c_str());
-    std::fseek(f, 0, SEEK_END);
-    long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    std::vector<std::uint8_t> blob(size > 0 ? static_cast<std::size_t>(size)
-                                            : 0);
-    if (!blob.empty() &&
-        std::fread(blob.data(), 1, blob.size(), f) != blob.size()) {
-        std::fclose(f);
-        ptm_throw("cannot read trace file %s", path.c_str());
-    }
-    std::fclose(f);
-
-    if (blob.size() < sizeof(ptt::kMagic) ||
-        std::memcmp(blob.data(), ptt::kMagic, sizeof(ptt::kMagic)) != 0)
-        ptm_throw("%s is not a .ptt trace (bad magic)", path.c_str());
-
-    std::size_t offset = sizeof(ptt::kMagic);
-    TraceFile trace;
-    std::uint64_t jobs = ptt::get_varint(blob.data(), blob.size(), offset);
-    std::vector<std::uint64_t> lengths;
-    for (std::uint64_t j = 0; j < jobs; ++j) {
-        std::uint64_t name_len =
-            ptt::get_varint(blob.data(), blob.size(), offset);
-        if (offset + name_len > blob.size())
-            ptm_throw("trace %s: truncated job name", path.c_str());
-        JobStream stream;
-        stream.name.assign(reinterpret_cast<const char *>(&blob[offset]),
-                           name_len);
-        offset += name_len;
-        lengths.push_back(
-            ptt::get_varint(blob.data(), blob.size(), offset));
-        trace.jobs_.push_back(std::move(stream));
-    }
-    for (std::uint64_t j = 0; j < jobs; ++j) {
-        if (offset + lengths[j] > blob.size())
-            ptm_throw("trace %s: truncated stream for job %llu",
-                      path.c_str(), static_cast<unsigned long long>(j));
-        trace.jobs_[j].bytes.assign(blob.begin() + offset,
-                                    blob.begin() + offset + lengths[j]);
-        offset += lengths[j];
-    }
-    return trace;
-}
-
-void
-TraceFile::write(const std::string &path,
-                 const std::vector<const RecordingWorkload *> &jobs)
-{
-    std::vector<std::uint8_t> blob;
-    blob.insert(blob.end(), ptt::kMagic, ptt::kMagic + sizeof(ptt::kMagic));
-    ptt::put_varint(blob, jobs.size());
-    for (const RecordingWorkload *job : jobs) {
-        const std::string name = job->name();
-        ptt::put_varint(blob, name.size());
-        blob.insert(blob.end(), name.begin(), name.end());
-        ptt::put_varint(blob, job->encoder().bytes().size());
-    }
-    for (const RecordingWorkload *job : jobs) {
-        const std::vector<std::uint8_t> &bytes = job->encoder().bytes();
-        blob.insert(blob.end(), bytes.begin(), bytes.end());
-    }
-
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr)
-        ptm_throw("cannot create trace file %s", tmp.c_str());
-    if (std::fwrite(blob.data(), 1, blob.size(), f) != blob.size()) {
-        std::fclose(f);
-        std::remove(tmp.c_str());
-        ptm_throw("cannot write trace file %s", tmp.c_str());
-    }
-    std::fclose(f);
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        ptm_throw("cannot move trace file into place at %s", path.c_str());
-    }
-}
-
-namespace {
-
-/// Replays one immutable TraceFile job stream.
-class TraceReplayWorkload final : public Workload {
-  public:
-    explicit TraceReplayWorkload(const TraceFile::JobStream *stream)
-        : stream_(stream)
-    {
-    }
-
-    void
-    setup(WorkloadContext &ctx) override
-    {
-        decode_setup(stream_->bytes.data(), stream_->bytes.size(), state_,
-                     ctx);
-    }
-
-    std::optional<MemOp>
-    next(WorkloadContext &ctx) override
-    {
-        MemOp op;
-        if (next_batch(ctx, &op, 1) == 0)
-            return std::nullopt;
-        return op;
-    }
-
-    unsigned
-    next_batch(WorkloadContext &ctx, MemOp *out, unsigned max) override
-    {
-        unsigned n = decode_ops(stream_->bytes.data(),
-                                stream_->bytes.size(), state_, ctx, out,
-                                max);
-        // A stream that ran dry without an explicit EOS was recorded
-        // from an infinite co-runner; the replayed job simply ends where
-        // the recording did.
-        if (n == 0)
-            state_.finished = true;
-        return n;
-    }
-
-    bool in_init_phase() const override { return state_.in_init; }
-    std::string name() const override { return stream_->name; }
-
-  private:
-    const TraceFile::JobStream *stream_;
-    DecodeState state_;
-};
-
-}  // namespace
-
-std::unique_ptr<Workload>
-TraceFile::make_replayer(unsigned index) const
-{
-    return std::make_unique<TraceReplayWorkload>(&jobs_.at(index));
 }
 
 // ---- StreamCache -------------------------------------------------------

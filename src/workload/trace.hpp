@@ -1,26 +1,26 @@
 /**
  * @file
- * Record/replay trace frontend for workload op streams (.ptt format).
+ * Workload op-stream codec and StreamCache, the in-process memo built on
+ * it.
  *
- * A trace captures the exact serial stream one job feeds the simulator —
- * memory operations plus the context interactions interleaved with them
- * (mmap/munmap/free_page) and the init-phase boundary — so a recorded
- * scenario can be replayed bit-identically without re-running the
- * generators, and one recorded stream can drive every {policy × table}
- * leg of a sweep (op streams are policy-independent: scheduling is done
- * in op space and generators never read kernel state).
+ * An encoded stream captures the exact serial stream one job feeds the
+ * simulator — memory operations plus the context interactions
+ * interleaved with them (mmap/munmap/free_page) and the init-phase
+ * boundary — so it can be decoded back bit-identically without
+ * re-running the generator. Op streams are policy-independent
+ * (scheduling is done in op space and generators never read kernel
+ * state), so one stream serves every {policy × table} leg.
  *
  * Encoding: one opcode byte per event; op events carry the gva as a
  * zigzag-varint delta from the previous op's gva (sequential patterns
  * make most deltas one byte). Interaction operands are plain varints.
- * Events are self-delimiting and the per-job stream is a flat byte run,
- * so a .ptt file can be consumed from an mmap'd buffer as-is.
+ * Events are self-delimiting and the per-job stream is a flat byte run.
  *
- * The same encoding backs workload::StreamCache, the in-process memo of
- * generated streams keyed by (name, seed, scale, total_ops): the first
- * run of a key generates and encodes lazily; later runs (the second leg
- * of a paired run, sweep legs, repeated tests) decode instead of
- * regenerating. Disable with PTM_NO_STREAM_MEMO=1.
+ * workload::StreamCache memoizes generated streams keyed by (name, seed,
+ * scale, total_ops, params): the first run of a key generates and
+ * encodes lazily; later runs (the second leg of a paired run, sweep
+ * legs, repeated tests) decode instead of regenerating. Disable with
+ * PTM_NO_STREAM_MEMO=1.
  */
 #pragma once
 
@@ -41,9 +41,6 @@ namespace ptm::workload {
 struct WorkloadOptions;
 
 namespace ptt {
-
-/// File magic of a .ptt trace.
-inline constexpr char kMagic[8] = {'P', 'T', 'M', 'T', 'R', 'C', '1', '\n'};
 
 /// Stream event opcodes. kOpRead/kOpWrite differ only in bit 0 so the
 /// decoder reads the write flag straight from the opcode.
@@ -95,8 +92,8 @@ class StreamEncoder {
 };
 
 /// Read-side position within one encoded stream. The buffer itself is
-/// passed to every decode call so the stream may grow (StreamCache) or
-/// live in a file mapping (TraceFile) without the state caring.
+/// passed to every decode call so the stream may grow (StreamCache)
+/// without the state caring.
 struct DecodeState {
     std::size_t offset = 0;
     std::uint64_t prev_gva = 0;
@@ -157,39 +154,6 @@ class RecordingWorkload final : public Workload {
     StreamEncoder enc_;
     bool init_end_recorded_ = false;
     bool eos_recorded_ = false;
-};
-
-/**
- * A parsed .ptt trace: one named stream per job, victim first, in job
- * creation order.
- */
-class TraceFile {
-  public:
-    struct JobStream {
-        std::string name;
-        std::vector<std::uint8_t> bytes;
-    };
-
-    /// Parse @p path. @throws SimError on I/O or format problems.
-    static TraceFile load(const std::string &path);
-
-    /// Serialize the recorders' streams to @p path (temp file + rename,
-    /// so sweep legs never observe a half-written trace).
-    /// @throws SimError on I/O problems.
-    static void write(const std::string &path,
-                      const std::vector<const RecordingWorkload *> &jobs);
-
-    unsigned job_count() const
-    {
-        return static_cast<unsigned>(jobs_.size());
-    }
-    const JobStream &job(unsigned index) const { return jobs_.at(index); }
-
-    /// Replay workload for job @p index. The TraceFile must outlive it.
-    std::unique_ptr<Workload> make_replayer(unsigned index) const;
-
-  private:
-    std::vector<JobStream> jobs_;
 };
 
 /**

@@ -132,7 +132,11 @@ TEST_F(WalkerTest, HashedGuestTableWalksItsProbeChain)
 class ForeignTable final : public pt::TranslationTable {
   public:
     bool map(std::uint64_t, const pt::PteFields &) override { return false; }
-    void unmap(std::uint64_t) override {}
+    std::optional<pt::Pte>
+    unmap(std::uint64_t) override
+    {
+        return std::nullopt;
+    }
     std::optional<pt::Pte>
     lookup(std::uint64_t) const override
     {

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -128,6 +129,24 @@ TEST_F(PageTableTest, UnmapRemovesTranslation)
     pt.unmap(100);
     EXPECT_FALSE(pt.lookup(100).has_value());
     EXPECT_EQ(pt.stats().unmappings.value(), 1u);
+}
+
+TEST_F(PageTableTest, UnmapReturnsTheClearedEntry)
+{
+    PageTable pt(source_);
+    pt.map(100, {.writable = true, .frame = 777});
+    pt.map(101, {.frame = 778});
+    EXPECT_FALSE(pt.unmap(102).has_value()) << "hole in a live leaf";
+    const std::optional<Pte> old = pt.unmap(100);
+    ASSERT_TRUE(old.has_value());
+    EXPECT_TRUE(old->present());
+    EXPECT_TRUE(old->writable());
+    EXPECT_EQ(old->frame(), 777u);
+    EXPECT_FALSE(pt.unmap(100).has_value()) << "second unmap";
+    ASSERT_TRUE(pt.unmap(101).has_value());
+    EXPECT_FALSE(pt.unmap(101).has_value()) << "emptied leaf";
+    EXPECT_FALSE(pt.unmap(1ull << 30).has_value()) << "no path";
+    EXPECT_EQ(pt.stats().unmappings.value(), 2u);
 }
 
 TEST_F(PageTableTest, UpdateChangesLeaf)

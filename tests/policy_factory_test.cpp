@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -258,6 +259,24 @@ class EquivalenceHarness {
     {
     }
 
+    /// Unmap @p vpn from both tables and the reference; each table must
+    /// return the entry it cleared, or nullopt when nothing was mapped.
+    void
+    unmap(std::uint64_t vpn)
+    {
+        const auto expect = reference_.find(vpn);
+        const bool mapped = expect != reference_.end();
+        const std::optional<pt::Pte> r = radix_.unmap(vpn);
+        const std::optional<pt::Pte> g = hashed_.unmap(vpn);
+        ASSERT_EQ(r.has_value(), mapped) << vpn;
+        ASSERT_EQ(g.has_value(), mapped) << vpn;
+        if (mapped) {
+            EXPECT_EQ(r->frame(), expect->second) << vpn;
+            EXPECT_EQ(g->frame(), expect->second) << vpn;
+            reference_.erase(expect);
+        }
+    }
+
     mem::BuddyAllocator radix_buddy_;
     mem::BuddyAllocator hashed_buddy_;
     pt::PageTable radix_;
@@ -285,11 +304,8 @@ TEST(HashedVsRadix, RandomOperationSequencesStayEquivalent)
             } else if (dice == 11) {
                 // Unmap a whole leaf's range: the radix leaf empties.
                 const std::uint64_t base = vpn & ~std::uint64_t{511};
-                for (std::uint64_t v = base; v < base + 512; ++v) {
-                    h.radix_.unmap(v);
-                    h.hashed_.unmap(v);
-                    h.reference_.erase(v);
-                }
+                for (std::uint64_t v = base; v < base + 512; ++v)
+                    h.unmap(v);
             } else if (dice == 12) {
                 // Remap a few pages into the same (possibly emptied) leaf.
                 const std::uint64_t base = vpn & ~std::uint64_t{511};
@@ -308,9 +324,7 @@ TEST(HashedVsRadix, RandomOperationSequencesStayEquivalent)
                 EXPECT_TRUE(h.hashed_.map(vpn, fields));
                 h.reference_[vpn] = frame;
             } else if (dice < 8) {
-                h.radix_.unmap(vpn);
-                h.hashed_.unmap(vpn);
-                h.reference_.erase(vpn);
+                h.unmap(vpn);
             } else {
                 auto expect = h.reference_.find(vpn);
                 auto r = h.radix_.lookup(vpn);
@@ -371,6 +385,33 @@ TEST(HashedVsRadix, UpdateOfUnmappedEntryFailsOnBothTables)
         EXPECT_EQ(table->lookup(41)->frame(), 4u);
         EXPECT_TRUE(table->lookup(41)->writable());
         EXPECT_EQ(table->stats().mappings.value(), 2u);
+    }
+}
+
+TEST(HashedVsRadix, UnmapReturnsTheClearedEntryOnBothTables)
+{
+    EquivalenceHarness h;
+    for (pt::TranslationTable *table :
+         {static_cast<pt::TranslationTable *>(&h.radix_),
+          static_cast<pt::TranslationTable *>(&h.hashed_)}) {
+        SCOPED_TRACE(table->name());
+        ASSERT_TRUE(table->map(40, {.writable = true, .frame = 1}));
+        ASSERT_TRUE(
+            table->map(41, {.writable = false, .cow = true, .frame = 2}));
+        const std::optional<pt::Pte> old = table->unmap(40);
+        ASSERT_TRUE(old.has_value());
+        EXPECT_TRUE(old->present());
+        EXPECT_TRUE(old->writable());
+        EXPECT_EQ(old->frame(), 1u);
+        EXPECT_FALSE(table->unmap(40).has_value()) << "second unmap";
+        EXPECT_FALSE(table->unmap(42).has_value()) << "never mapped";
+        EXPECT_FALSE(table->unmap(1ull << 30).has_value()) << "no path";
+        EXPECT_EQ(table->stats().unmappings.value(), 1u);
+        EXPECT_EQ(table->lookup(41)->frame(), 2u) << "neighbour intact";
+        const std::optional<pt::Pte> cow = table->unmap(41);
+        ASSERT_TRUE(cow.has_value());
+        EXPECT_TRUE(cow->cow());
+        EXPECT_FALSE(cow->writable());
     }
 }
 

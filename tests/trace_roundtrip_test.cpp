@@ -1,12 +1,12 @@
 /**
  * @file
- * Trace frontend tests: .ptt encode/decode round-trips, record→replay
- * determinism for every catalog workload, and StreamCache equivalence
- * (the memoized stream must be observably identical to the generator).
+ * Op-stream codec tests: encode/decode round-trips, the recorder against
+ * the serial generator, and StreamCache equivalence (the memoized stream
+ * must be observably identical to the bare generator for every catalog
+ * workload and across policy legs).
  */
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -183,8 +183,7 @@ ScenarioConfig
 tiny_config(const std::string &victim)
 {
     // 0.05 is the smallest scale every catalog benchmark tolerates (gcc
-    // overruns its region below that — a generator quirk predating the
-    // trace frontend).
+    // overruns its region below that — a generator quirk).
     ScenarioConfig config = ScenarioConfig{}
                                 .with_victim(victim)
                                 .with_scale(0.05)
@@ -228,102 +227,78 @@ expect_same_result(const ScenarioResult &a, const ScenarioResult &b,
     }
 }
 
-std::string
-temp_trace_path(const std::string &tag)
+/// Runs its scenario with PTM_NO_STREAM_MEMO set: bare generators.
+ScenarioResult
+run_bare(const ScenarioConfig &config)
 {
-    return "trace_roundtrip_" + tag + ".ptt";
-}
-
-TEST(TraceRoundtrip, EveryCatalogBenchmarkReplaysIdentically)
-{
-    for (const std::string &victim : workload::benchmark_names()) {
-        SCOPED_TRACE(victim);
-        const std::string path = temp_trace_path(victim);
-        ScenarioConfig config = tiny_config(victim);
-        ScenarioResult recorded =
-            run_scenario(ScenarioConfig(config).with_trace_record(path));
-        ScenarioResult replayed =
-            run_scenario(ScenarioConfig(config).with_trace_replay(path));
-        expect_same_result(recorded, replayed, victim);
-        std::remove(path.c_str());
-    }
-}
-
-TEST(TraceRoundtrip, RecordingDoesNotPerturbTheRun)
-{
-    const std::string path = temp_trace_path("perturb");
-    ScenarioConfig config = tiny_config("pagerank");
-    ScenarioResult plain = run_scenario(config);
-    ScenarioResult recorded =
-        run_scenario(ScenarioConfig(config).with_trace_record(path));
-    expect_same_result(plain, recorded, "record-wrapper");
-    std::remove(path.c_str());
-}
-
-TEST(TraceRoundtrip, MultiJobTraceReplaysAcrossPolicyLegs)
-{
-    // One recorded trace must drive both the buddy and the PTEMagnet leg:
-    // op streams are policy-independent by construction, and this is the
-    // property that lets sweeps share a single trace.
-    const std::string path = temp_trace_path("multijob");
-    ScenarioConfig config = tiny_config("pagerank")
-                                .with_corunner("stress-ng", 2)
-                                .with_warmup_ops(2'000);
-    ScenarioResult recorded =
-        run_scenario(ScenarioConfig(config).with_trace_record(path));
-    ScenarioResult replayed =
-        run_scenario(ScenarioConfig(config).with_trace_replay(path));
-    expect_same_result(recorded, replayed, "buddy-leg");
-
-    ScenarioResult magnet_direct =
-        run_scenario(ScenarioConfig(config).with_ptemagnet());
-    ScenarioResult magnet_replayed = run_scenario(ScenarioConfig(config)
-                                                      .with_ptemagnet()
-                                                      .with_trace_replay(
-                                                          path));
-    expect_same_result(magnet_direct, magnet_replayed, "magnet-leg");
-    std::remove(path.c_str());
-}
-
-TEST(TraceRoundtrip, ReplayRejectsJobCountMismatch)
-{
-    const std::string path = temp_trace_path("mismatch");
-    ScenarioConfig config = tiny_config("pagerank");
-    run_scenario(ScenarioConfig(config).with_trace_record(path));
-    EXPECT_THROW(run_scenario(ScenarioConfig(config)
-                                  .with_corunner("stress-ng", 2)
-                                  .with_trace_replay(path)),
-                 SimError);
-    std::remove(path.c_str());
-}
-
-TEST(TraceRoundtrip, LoadRejectsGarbage)
-{
-    const std::string path = temp_trace_path("garbage");
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a trace", f);
-    std::fclose(f);
-    EXPECT_THROW(workload::TraceFile::load(path), SimError);
-    std::remove(path.c_str());
-    EXPECT_THROW(workload::TraceFile::load("does_not_exist.ptt"),
-                 SimError);
+    struct MemoOff {
+        MemoOff() { ::setenv("PTM_NO_STREAM_MEMO", "1", 1); }
+        ~MemoOff() { ::unsetenv("PTM_NO_STREAM_MEMO"); }
+    } memo_off;
+    EXPECT_FALSE(workload::StreamCache::enabled());
+    return run_scenario(config);
 }
 
 TEST(StreamCacheTest, MemoizedStreamsMatchBareGenerators)
 {
     ScenarioConfig config = tiny_config("cc").with_corunner("stress-ng", 1);
-    // Leg 1: generators, memo disabled.
-    ::setenv("PTM_NO_STREAM_MEMO", "1", 1);
-    ASSERT_FALSE(workload::StreamCache::enabled());
-    ScenarioResult bare = run_scenario(config);
-    ::unsetenv("PTM_NO_STREAM_MEMO");
+    ScenarioResult bare = run_bare(config);
     ASSERT_TRUE(workload::StreamCache::enabled());
     // Leg 2 populates the cache; leg 3 replays from it.
     ScenarioResult first = run_scenario(config);
     ScenarioResult memoized = run_scenario(config);
     expect_same_result(bare, first, "cache-fill");
     expect_same_result(bare, memoized, "cache-replay");
+}
+
+TEST(StreamCacheTest, EveryCatalogBenchmarkMatchesBareGenerator)
+{
+    for (const std::string &victim : workload::benchmark_names()) {
+        SCOPED_TRACE(victim);
+        ScenarioConfig config = tiny_config(victim);
+        ScenarioResult bare = run_bare(config);
+        ScenarioResult memoized = run_scenario(config);
+        EXPECT_GT(bare.victim_ops, 0u);
+        expect_same_result(bare, memoized, victim);
+    }
+}
+
+TEST(StreamCacheTest, MultiJobStreamsMatchAcrossPolicyLegs)
+{
+    // The buddy leg fills the memo and the PTEMagnet leg replays it: op
+    // streams are policy-independent by construction, which is what
+    // lets every leg of a sweep share one stream.
+    workload::StreamCache::instance().clear();
+    ScenarioConfig config = tiny_config("pagerank")
+                                .with_corunner("stress-ng", 2)
+                                .with_warmup_ops(2'000);
+    ScenarioResult buddy_bare = run_bare(config);
+    ScenarioResult buddy_memo = run_scenario(config);
+    expect_same_result(buddy_bare, buddy_memo, "buddy-leg");
+
+    ScenarioConfig magnet = ScenarioConfig(config).with_ptemagnet();
+    ScenarioResult magnet_bare = run_bare(magnet);
+    ScenarioResult magnet_memo = run_scenario(magnet);
+    expect_same_result(magnet_bare, magnet_memo, "magnet-leg");
+}
+
+TEST(RetiredTraceFields, RunScenarioRejectsEachNonDefaultValue)
+{
+    // Still declared (the benchmark's leg runner reads them) but backed
+    // by no feature: setting one must fail loudly, never be ignored.
+    const ScenarioConfig base = tiny_config("pagerank");
+    ScenarioConfig record = base;
+    record.trace_record = "run.ptt";
+    EXPECT_THROW(run_scenario(record), SimError);
+    ScenarioConfig replay = base;
+    replay.trace_replay = "run.ptt";
+    EXPECT_THROW(run_scenario(replay), SimError);
+    ScenarioConfig fast_forward = base;
+    fast_forward.replay_fast_forward = true;
+    EXPECT_THROW(run_scenario(fast_forward), SimError);
+    ScenarioConfig cold = base;
+    cold.cold_measurement = true;
+    EXPECT_THROW(run_scenario(cold), SimError);
 }
 
 }  // namespace
