@@ -83,21 +83,26 @@ main()
 
     const EntryResult &swept =
         result.at("pagerank_tiny/reservation_pages=8");
-    check(swept.single.reservations_created > 0,
+    check(swept.single.stats.has("vm0.provider.reservations_created") &&
+              swept.single.stats.value(
+                  "vm0.provider.reservations_created") > 0,
           "sweep leg ran under PTEMagnet");
 
     const EntryResult &pressured = result.at("pagerank_pressure");
     check(!pressured.failed(), "pressured run completed");
-    check(pressured.single.fault_plan_armed, "fault plan was armed");
-    check(pressured.single.reclaim_sweeps > 0, "pressure swept");
-    check(pressured.single.frames_reclaimed > 0,
+    const auto &pressure_stats = pressured.single.stats;
+    check(pressure_stats.has("fault_injection.reclaim_sweeps"),
+          "fault plan was armed");
+    check(pressure_stats.has("fault_injection.reclaim_sweeps") &&
+              pressure_stats.value("fault_injection.reclaim_sweeps") > 0,
+          "pressure swept");
+    check(pressure_stats.value("vm0.kernel.frames_reclaimed") > 0,
           "pressure reclaimed reservation frames");
-    check(pressured.single.oom_events == 0,
+    check(pressure_stats.value("vm0.kernel.oom_events") == 0,
           "reclaim degraded service without failing faults");
-    check(pressured.single.metrics.has("frames_reclaimed"),
-          "armed run exports robustness metrics");
-    check(!paired.paired.ptemagnet.metrics.has("frames_reclaimed"),
-          "unarmed run keeps the golden metric set");
+    check(pressured.single.metrics.values().size() ==
+              paired.paired.ptemagnet.metrics.values().size(),
+          "armed and unarmed runs report the same metric set");
 
     // Observability: every completed run exports the full registry
     // snapshot — component counters plus walk-latency percentiles.
@@ -120,7 +125,6 @@ main()
     const EntryResult &doomed_result = result.at("pagerank_oom");
     check(doomed_result.failed(), "hopeless entry marked failed");
     check(!doomed_result.error.empty(), "failure recorded its error");
-    check(doomed_result.attempts == 1, "no retries were configured");
 
     // The JSON sink must round-trip the whole result set.
     std::string path = "BENCH_smoke.json";
@@ -148,15 +152,8 @@ main()
         check(baseline.victim_cycles ==
                   paired.paired.baseline.victim_cycles,
               "JSON round-trips victim_cycles");
-        check(baseline.stats.value("vm0.core0.job.ops") ==
-                  base.stats.value("vm0.core0.job.ops"),
-              "JSON round-trips the stats block");
-        check(baseline.stats
-                      .histogram("vm0.core0.walker.walk_cycles_hist")
-                      .p99 ==
-                  base.stats.histogram("vm0.core0.walker.walk_cycles_hist")
-                      .p99,
-              "JSON round-trips histogram summaries");
+        check(baseline.stats == base.stats,
+              "JSON round-trips the stats block, histograms included");
 
         // Per-entry status must land in the document, failed included.
         for (const Json &e : reread.at("entries").as_array()) {
@@ -172,8 +169,7 @@ main()
         }
         ScenarioResult rob = scenario_result_from_json(
             reread.at("entries").as_array()[3].at("result"));
-        check(rob.frames_reclaimed ==
-                  pressured.single.frames_reclaimed,
+        check(rob.stats == pressure_stats,
               "JSON round-trips robustness counters");
     }
     {

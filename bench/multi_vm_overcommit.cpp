@@ -88,6 +88,15 @@ storm_config()
     return config;
 }
 
+/// Host overcommit daemon counter "host.overcommit.<name>"; every
+/// scenario here arms overcommit, so the path always exists.
+unsigned long long
+overcommit(const ScenarioResult &result, const char *name)
+{
+    return static_cast<unsigned long long>(
+        result.stats.value(std::string("host.overcommit.") + name));
+}
+
 void
 print_robustness(const char *name, const ScenarioResult &result)
 {
@@ -95,14 +104,14 @@ print_robustness(const char *name, const ScenarioResult &result)
         "%-24s oom_kills=%llu sweeps=%llu(+%llu emergency) "
         "backoff_waits=%llu balloon_pages=%llu boots=%llu kills=%llu "
         "forks=%llu\n",
-        name, (unsigned long long)result.oom_kills,
-        (unsigned long long)result.host_reclaim_sweeps,
-        (unsigned long long)result.host_emergency_sweeps,
-        (unsigned long long)result.host_backoff_waits,
-        (unsigned long long)result.host_balloon_pages,
-        (unsigned long long)result.churn_boots,
-        (unsigned long long)result.churn_kills,
-        (unsigned long long)result.churn_forks);
+        name, overcommit(result, "oom_kills"),
+        overcommit(result, "reclaim_sweeps"),
+        overcommit(result, "emergency_sweeps"),
+        overcommit(result, "backoff_waits"),
+        overcommit(result, "balloon_pages"),
+        overcommit(result, "churn_boots"),
+        overcommit(result, "churn_kills"),
+        overcommit(result, "churn_forks"));
     for (const VmRecord &vm : result.vms) {
         std::printf("    vm%-3u %-12s balloon=%-6llu backed=%-6llu "
                     "walk_cycles=%-12llu ops=%llu\n",
@@ -114,35 +123,15 @@ print_robustness(const char *name, const ScenarioResult &result)
     }
 }
 
-/// Field-by-field equality over everything the robustness block exports.
+/// Equality over every simulated counter and per-VM record.
 bool
 same_result(const ScenarioResult &a, const ScenarioResult &b,
             const char *what)
 {
-    bool ok = a.victim_ops == b.victim_ops &&
-              a.victim_cycles == b.victim_cycles &&
-              a.oom_kills == b.oom_kills &&
-              a.churn_boots == b.churn_boots &&
-              a.churn_kills == b.churn_kills &&
-              a.churn_forks == b.churn_forks &&
-              a.churn_boot_failures == b.churn_boot_failures &&
-              a.host_reclaim_sweeps == b.host_reclaim_sweeps &&
-              a.host_emergency_sweeps == b.host_emergency_sweeps &&
-              a.host_backoff_waits == b.host_backoff_waits &&
-              a.host_balloon_pages == b.host_balloon_pages &&
-              a.host_frames_unbacked == b.host_frames_unbacked &&
-              a.vms.size() == b.vms.size();
-    if (ok) {
-        for (std::size_t i = 0; i < a.vms.size(); ++i) {
-            ok = ok && a.vms[i].status == b.vms[i].status &&
-                 a.vms[i].balloon_pages == b.vms[i].balloon_pages &&
-                 a.vms[i].backed_pages == b.vms[i].backed_pages &&
-                 a.vms[i].frames_repossessed ==
-                     b.vms[i].frames_repossessed &&
-                 a.vms[i].walk_cycles == b.vms[i].walk_cycles &&
-                 a.vms[i].ops == b.vms[i].ops;
-        }
-    }
+    const bool ok = a.victim_ops == b.victim_ops &&
+                    a.victim_cycles == b.victim_cycles &&
+                    a.victim_rss_pages == b.victim_rss_pages &&
+                    a.stats == b.stats && a.vms == b.vms;
     check(ok, what);
     return ok;
 }
@@ -155,18 +144,19 @@ storm_smoke()
 
     ScenarioResult first = run_scenario(config);
     print_robustness("storm64 (serial)", first);
-    check(first.churn_boots >= 32,
-          "the storm actually booted a VM fleet");
-    check(first.oom_kills >= 1, "host pressure forced >=1 OOM-kill");
-    check(first.host_reclaim_sweeps >= 1, "reclaim daemon swept");
+    const unsigned long long boots = overcommit(first, "churn_boots");
+    const unsigned long long oom_kills = overcommit(first, "oom_kills");
+    check(boots >= 32, "the storm actually booted a VM fleet");
+    check(oom_kills >= 1, "host pressure forced >=1 OOM-kill");
+    check(overcommit(first, "reclaim_sweeps") >= 1, "reclaim daemon swept");
     check(!first.vms.empty() && first.vms[0].status == "alive",
           "the protected primary VM survived");
-    check(first.vms.size() == 1 + first.churn_boots,
+    check(first.vms.size() == 1 + boots,
           "every booted VM has a per-VM record");
-    std::uint64_t oom_records = 0;
+    unsigned long long oom_records = 0;
     for (const VmRecord &vm : first.vms)
         oom_records += vm.status == "oom_killed" ? 1 : 0;
-    check(oom_records == first.oom_kills,
+    check(oom_records == oom_kills,
           "every OOM-kill surfaced as a degradation record");
 
     ScenarioResult second = run_scenario(config);
@@ -193,8 +183,7 @@ storm_smoke()
     if (failures == 0)
         std::printf("storm smoke OK: %llu boots, %llu OOM-kills, "
                     "identical across repeats and 1/4-thread suites\n",
-                    (unsigned long long)first.churn_boots,
-                    (unsigned long long)first.oom_kills);
+                    boots, oom_kills);
     return failures == 0 ? EXIT_SUCCESS : EXIT_FAILURE;
 }
 

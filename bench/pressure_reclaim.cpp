@@ -53,13 +53,15 @@ main()
                         "FAILED");
             continue;
         }
-        const ScenarioResult &run = entry.paired.ptemagnet;
-        std::printf("%-26s %10llu %8llu %10llu %10llu %+11.1f%%\n",
+        const auto &stats = entry.paired.ptemagnet.stats;
+        // The sweep counter exists only when the plan armed pressure.
+        const char *sweeps = "fault_injection.reclaim_sweeps";
+        std::printf("%-26s %10.0f %8.0f %10.0f %10.0f %+11.1f%%\n",
                     entry.entry.name.c_str(),
-                    static_cast<unsigned long long>(run.frames_reclaimed),
-                    static_cast<unsigned long long>(run.reclaim_sweeps),
-                    static_cast<unsigned long long>(run.fallback_singles),
-                    static_cast<unsigned long long>(run.part_hits),
+                    stats.value("vm0.kernel.frames_reclaimed"),
+                    stats.has(sweeps) ? stats.value(sweeps) : 0.0,
+                    stats.value("vm0.provider.fallback_singles"),
+                    stats.value("vm0.provider.part_hits"),
                     entry.improvement_percent());
     }
 

@@ -38,12 +38,11 @@ main()
                 "reservations", "PaRT hits");
     for (const EntryResult &entry : result.entries()) {
         const ScenarioResult &run = entry.single;
-        std::printf("%-10s %17.3f%% %16llu %12llu\n",
+        std::printf("%-10s %17.3f%% %16.0f %12.0f\n",
                     entry.entry.name.c_str(),
                     100.0 * run.peak_unused_reservation_fraction,
-                    static_cast<unsigned long long>(
-                        run.reservations_created),
-                    static_cast<unsigned long long>(run.part_hits));
+                    run.stats.value("vm0.provider.reservations_created"),
+                    run.stats.value("vm0.provider.part_hits"));
     }
 
     std::printf("\npaper reference: peak never exceeds 0.2%% of the "

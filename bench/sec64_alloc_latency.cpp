@@ -123,7 +123,8 @@ run_alloc_sweep()
                 ptm,
                 static_cast<unsigned long long>(
                     pair.ptemagnet.buddy_calls),
-                static_cast<unsigned long long>(pair.ptemagnet.part_hits));
+                static_cast<unsigned long long>(pair.ptemagnet.stats.value(
+                    "vm0.provider.part_hits")));
     std::printf("  change: %+.2f%%   [paper: -0.5%% — PTEMagnet slightly "
                 "faster, 7 of 8 buddy\n  calls replaced by PaRT hits]\n\n",
                 100.0 * (ptm - base) / base);

@@ -98,36 +98,27 @@ build_suite(double scale, std::uint64_t measure_ops, std::uint64_t boots,
     return suite;
 }
 
-/// Field-by-field equality over the storm's robustness surface.
+/// Equality over every simulated counter and per-VM record.
 bool
 same_result(const ScenarioResult &a, const ScenarioResult &b,
             const char *what)
 {
-    bool ok = a.victim_ops == b.victim_ops &&
-              a.victim_cycles == b.victim_cycles &&
-              a.victim_rss_pages == b.victim_rss_pages &&
-              a.churn_boots == b.churn_boots &&
-              a.churn_kills == b.churn_kills &&
-              a.churn_forks == b.churn_forks &&
-              a.oom_kills == b.oom_kills &&
-              a.host_balloon_pages == b.host_balloon_pages &&
-              a.dirty_ring_logged == b.dirty_ring_logged &&
-              a.dirty_ring_epochs == b.dirty_ring_epochs &&
-              a.ws_estimate_pages == b.ws_estimate_pages &&
-              a.ws_guided_sweeps == b.ws_guided_sweeps &&
-              a.vms.size() == b.vms.size();
-    if (ok) {
-        for (std::size_t i = 0; i < a.vms.size(); ++i) {
-            ok = ok && a.vms[i].status == b.vms[i].status &&
-                 a.vms[i].backed_pages == b.vms[i].backed_pages &&
-                 a.vms[i].ws_estimate_pages ==
-                     b.vms[i].ws_estimate_pages &&
-                 a.vms[i].walk_cycles == b.vms[i].walk_cycles &&
-                 a.vms[i].ops == b.vms[i].ops;
-        }
-    }
+    const bool ok = a.victim_ops == b.victim_ops &&
+                    a.victim_cycles == b.victim_cycles &&
+                    a.victim_rss_pages == b.victim_rss_pages &&
+                    a.stats == b.stats && a.vms == b.vms;
     check(ok, what);
     return ok;
+}
+
+/// Counter at @p path, or 0 when the run did not register it (the
+/// churn and dirty-ring paths exist only in the storm leg).
+unsigned long long
+counter(const ScenarioResult &result, const std::string &path)
+{
+    return result.stats.has(path)
+               ? static_cast<unsigned long long>(result.stats.value(path))
+               : 0;
 }
 
 int
@@ -144,9 +135,11 @@ smoke()
     ScenarioResult first = run_scenario(storm);
     check(first.victim_ops >= measure_ops,
           "the warm instance served its requests");
-    check(first.churn_boots >= boots / 2, "the storm booted instances");
-    check(first.churn_forks >= 1, "the storm forked instances");
-    check(first.dirty_ring_armed && first.dirty_ring_logged > 0,
+    check(counter(first, "host.overcommit.churn_boots") >= boots / 2,
+          "the storm booted instances");
+    check(counter(first, "host.overcommit.churn_forks") >= 1,
+          "the storm forked instances");
+    check(counter(first, "vm0.dirty_ring.logged") > 0,
           "COW-style stores reached the dirty rings");
     check(!first.vms.empty() && first.vms[0].status == "alive",
           "the protected primary instance survived");
@@ -169,12 +162,12 @@ smoke()
 
     if (failures == 0)
         std::printf("serving_forkstorm smoke OK: %llu ops, %llu boots, "
-                    "%llu forks, %llu dirty pages logged, identical "
-                    "across repeats and 1/4-thread suites\n",
+                    "%llu forks, %llu dirty pages logged in vm0, "
+                    "identical across repeats and 1/4-thread suites\n",
                     (unsigned long long)first.victim_ops,
-                    (unsigned long long)first.churn_boots,
-                    (unsigned long long)first.churn_forks,
-                    (unsigned long long)first.dirty_ring_logged);
+                    counter(first, "host.overcommit.churn_boots"),
+                    counter(first, "host.overcommit.churn_forks"),
+                    counter(first, "vm0.dirty_ring.logged"));
     return failures == 0 ? EXIT_SUCCESS : EXIT_FAILURE;
 }
 
@@ -207,13 +200,13 @@ main(int argc, char **argv)
         }
         const ScenarioResult &r = entry.single;
         std::printf("%-24s cycles=%-12llu ops=%-8llu boots=%-4llu "
-                    "forks=%-4llu ring[logged=%llu ws=%llu]\n",
+                    "forks=%-4llu vm0 ring[logged=%llu ws=%llu]\n",
                     entry.entry.name.c_str(),
                     (unsigned long long)r.victim_cycles,
                     (unsigned long long)r.victim_ops,
-                    (unsigned long long)r.churn_boots,
-                    (unsigned long long)r.churn_forks,
-                    (unsigned long long)r.dirty_ring_logged,
+                    counter(r, "host.overcommit.churn_boots"),
+                    counter(r, "host.overcommit.churn_forks"),
+                    counter(r, "vm0.dirty_ring.logged"),
                     (unsigned long long)r.ws_estimate_pages);
     }
     return EXIT_SUCCESS;

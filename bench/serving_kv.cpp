@@ -93,36 +93,27 @@ build_suite(double scale, std::uint64_t measure_ops)
     return suite;
 }
 
-/// Field-by-field equality over everything the serving tier reports.
+/// Equality over every simulated counter and per-VM record.
 bool
 same_result(const ScenarioResult &a, const ScenarioResult &b,
             const char *what)
 {
-    bool ok = a.victim_ops == b.victim_ops &&
-              a.victim_cycles == b.victim_cycles &&
-              a.victim_rss_pages == b.victim_rss_pages &&
-              a.buddy_calls == b.buddy_calls &&
-              a.host_balloon_pages == b.host_balloon_pages &&
-              a.dirty_ring_armed == b.dirty_ring_armed &&
-              a.dirty_ring_logged == b.dirty_ring_logged &&
-              a.dirty_ring_harvests == b.dirty_ring_harvests &&
-              a.dirty_ring_epochs == b.dirty_ring_epochs &&
-              a.ws_estimate_pages == b.ws_estimate_pages &&
-              a.ws_guided_sweeps == b.ws_guided_sweeps &&
-              a.vms.size() == b.vms.size();
-    if (ok) {
-        for (std::size_t i = 0; i < a.vms.size(); ++i) {
-            ok = ok && a.vms[i].status == b.vms[i].status &&
-                 a.vms[i].balloon_pages == b.vms[i].balloon_pages &&
-                 a.vms[i].backed_pages == b.vms[i].backed_pages &&
-                 a.vms[i].ws_estimate_pages ==
-                     b.vms[i].ws_estimate_pages &&
-                 a.vms[i].walk_cycles == b.vms[i].walk_cycles &&
-                 a.vms[i].ops == b.vms[i].ops;
-        }
-    }
+    const bool ok = a.victim_ops == b.victim_ops &&
+                    a.victim_cycles == b.victim_cycles &&
+                    a.victim_rss_pages == b.victim_rss_pages &&
+                    a.stats == b.stats && a.vms == b.vms;
     check(ok, what);
     return ok;
+}
+
+/// Counter at @p path, or 0 when the run did not register it (the
+/// dirty-ring paths exist only in the overcommit leg).
+unsigned long long
+counter(const ScenarioResult &result, const std::string &path)
+{
+    return result.stats.has(path)
+               ? static_cast<unsigned long long>(result.stats.value(path))
+               : 0;
 }
 
 int
@@ -138,14 +129,17 @@ smoke()
     ScenarioResult first = run_scenario(kv);
     check(first.victim_ops >= measure_ops, "the KV tier served traffic");
     check(first.victim_rss_pages > 0, "the slab heap was faulted in");
-    check(!first.dirty_ring_armed,
+    check(!first.stats.has("vm0.dirty_ring.logged"),
           "a ring-disarmed run reports no ring telemetry");
     same_result(first, run_scenario(kv), "repeat run is bit-identical");
 
     ScenarioResult armed = run_scenario(oc);
-    check(armed.dirty_ring_armed, "the overcommit leg armed the ring");
-    check(armed.dirty_ring_logged > 0, "write walks reached the ring");
-    check(armed.dirty_ring_epochs >= 1, "at least one epoch closed");
+    check(armed.stats.has("vm0.dirty_ring.logged"),
+          "the overcommit leg armed the ring");
+    check(counter(armed, "vm0.dirty_ring.logged") > 0,
+          "write walks reached the ring");
+    check(counter(armed, "vm0.dirty_ring.epochs") >= 1,
+          "at least one epoch closed");
     check(!armed.vms.empty() && armed.vms[0].status == "alive",
           "the KV tier's VM survived the overcommit");
     same_result(armed, run_scenario(oc),
@@ -170,11 +164,11 @@ smoke()
 
     if (failures == 0)
         std::printf("serving_kv smoke OK: %llu ops, %llu dirty pages "
-                    "logged, %llu epochs, identical across repeats and "
-                    "1/4-thread suites\n",
+                    "logged in vm0, %llu epochs, identical across repeats "
+                    "and 1/4-thread suites\n",
                     (unsigned long long)first.victim_ops,
-                    (unsigned long long)armed.dirty_ring_logged,
-                    (unsigned long long)armed.dirty_ring_epochs);
+                    counter(armed, "vm0.dirty_ring.logged"),
+                    counter(armed, "vm0.dirty_ring.epochs"));
     return failures == 0 ? EXIT_SUCCESS : EXIT_FAILURE;
 }
 
@@ -206,13 +200,13 @@ main(int argc, char **argv)
         }
         const ScenarioResult &r = entry.single;
         std::printf("%-24s cycles=%-12llu ops=%-8llu rss=%-6llu "
-                    "ring[logged=%llu epochs=%llu ws=%llu]\n",
+                    "vm0 ring[logged=%llu epochs=%llu ws=%llu]\n",
                     entry.entry.name.c_str(),
                     (unsigned long long)r.victim_cycles,
                     (unsigned long long)r.victim_ops,
                     (unsigned long long)r.victim_rss_pages,
-                    (unsigned long long)r.dirty_ring_logged,
-                    (unsigned long long)r.dirty_ring_epochs,
+                    counter(r, "vm0.dirty_ring.logged"),
+                    counter(r, "vm0.dirty_ring.epochs"),
                     (unsigned long long)r.ws_estimate_pages);
     }
     return EXIT_SUCCESS;

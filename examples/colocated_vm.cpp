@@ -31,7 +31,7 @@ run(bool use_ptemagnet)
     sim::PlatformConfig platform;
     sim::System system(platform, 13);  // victim + 12 stress workers
     if (use_ptemagnet)
-        system.enable_ptemagnet();
+        system.set_policy("ptemagnet");
 
     workload::WorkloadOptions options;
     options.scale = 0.5;

@@ -40,6 +40,7 @@ main(int argc, char **argv)
     std::printf("buddy calls: %llu -> %llu (PaRT hits: %llu)\n",
                 static_cast<unsigned long long>(pair.baseline.buddy_calls),
                 static_cast<unsigned long long>(pair.ptemagnet.buddy_calls),
-                static_cast<unsigned long long>(pair.ptemagnet.part_hits));
+                static_cast<unsigned long long>(pair.ptemagnet.stats.value(
+                    "vm0.provider.part_hits")));
     return 0;
 }

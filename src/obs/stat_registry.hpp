@@ -47,6 +47,8 @@ struct HistogramSummary {
     std::uint64_t p50 = 0;
     std::uint64_t p90 = 0;
     std::uint64_t p99 = 0;
+
+    bool operator==(const HistogramSummary &) const = default;
 };
 
 /**
@@ -62,6 +64,8 @@ class StatSnapshot {
         bool is_histogram = false;
         double value = 0.0;          ///< counter value (counters only)
         HistogramSummary histogram;  ///< filled for histograms only
+
+        bool operator==(const Entry &) const = default;
     };
 
     const std::vector<Entry> &entries() const { return entries_; }
@@ -78,6 +82,9 @@ class StatSnapshot {
     void add_counter(std::string path, double value);
     /// Append one histogram entry (snapshot construction / JSON reload).
     void add_histogram(std::string path, const HistogramSummary &summary);
+
+    /// Same paths, in the same order, with the same values.
+    bool operator==(const StatSnapshot &) const = default;
 
   private:
     const Entry &find(const std::string &path) const;

@@ -62,7 +62,6 @@ run_scenario(const ScenarioConfig &config)
 {
     const auto wall_start = std::chrono::steady_clock::now();
 
-    const bool multi_vm = config.multi_vm();
     if (!config.trace_record.empty() || !config.trace_replay.empty() ||
         config.replay_fast_forward || config.cold_measurement) {
         ptm_throw("run_scenario has no trace record/replay, replay "
@@ -248,55 +247,18 @@ run_scenario(const ScenarioConfig &config)
             host_pt_fragmentation(victim.process(), *vm0);
     }
 
-    if (core::PtemagnetProvider *provider = system.ptemagnet()) {
-        result.reservations_created =
-            provider->stats().reservations_created.value();
-        result.part_hits = provider->stats().part_hits.value();
+    if (core::PtemagnetProvider *provider = system.ptemagnet())
         result.buddy_calls = provider->stats().buddy_calls.value();
-        result.fallback_singles =
-            provider->stats().fallback_singles.value();
-    } else {
+    else
         result.buddy_calls =
             system.guest().buddy().stats().alloc_calls.value();
-    }
-
     result.provider_held_pages = system.guest().provider().held_frames();
-    result.frames_reclaimed =
-        system.guest().stats().frames_reclaimed.value();
-    result.oom_events = system.guest().stats().oom_events.value();
-    if (injector) {
-        const InjectorStats &inj = injector->stats();
-        result.fault_plan_armed = true;
-        result.injected_denials = inj.injected_denials.value();
-        result.pressure_episodes = inj.pressure_episodes.value();
-        result.reclaim_sweeps = inj.reclaim_sweeps.value();
-        // Only armed runs grow the metric set: the golden snapshot (and
-        // its new-key guard) covers unarmed runs exactly as before.
-        result.metrics.set("injected_denials",
-                           static_cast<double>(result.injected_denials));
-        result.metrics.set("pressure_episodes",
-                           static_cast<double>(result.pressure_episodes));
-        result.metrics.set("reclaim_sweeps",
-                           static_cast<double>(result.reclaim_sweeps));
-        result.metrics.set("frames_reclaimed",
-                           static_cast<double>(result.frames_reclaimed));
-        result.metrics.set("fallback_singles",
-                           static_cast<double>(result.fallback_singles));
+    if (const obs::DirtyRing *ring = system.dirty_ring(0);
+        ring != nullptr && ring->has_estimate()) {
+        result.ws_estimate_pages = ring->estimate_pages();
     }
 
-    if (multi_vm) {
-        const OvercommitStats &oc = system.overcommit_stats();
-        result.host_reclaim_sweeps = oc.reclaim_sweeps.value();
-        result.host_emergency_sweeps = oc.emergency_sweeps.value();
-        result.host_backoff_waits = oc.backoff_waits.value();
-        result.host_balloon_pages = oc.balloon_pages.value();
-        result.host_frames_unbacked = oc.frames_unbacked.value();
-        result.oom_kills = oc.oom_kills.value();
-        result.churn_boots = oc.churn_boots.value();
-        result.churn_kills = oc.churn_kills.value();
-        result.churn_forks = oc.churn_forks.value();
-        result.churn_boot_failures = oc.churn_boot_failures.value();
-
+    if (config.multi_vm()) {
         for (unsigned k = 0; k < system.num_vms(); ++k) {
             const VmSlot &slot = system.vm_slot(k);
             VmRecord rec;
@@ -322,54 +284,6 @@ run_scenario(const ScenarioConfig &config)
             }
             result.vms.push_back(std::move(rec));
         }
-
-        // Only armed runs grow the metric set (same contract as the
-        // fault-plan block above): the golden snapshot and its new-key
-        // guard keep covering unarmed single-VM runs unchanged.
-        if (config.overcommit.armed() || config.churn.armed()) {
-            result.metrics.set(
-                "oom_kills", static_cast<double>(result.oom_kills));
-            result.metrics.set(
-                "host_reclaim_sweeps",
-                static_cast<double>(result.host_reclaim_sweeps));
-            result.metrics.set(
-                "host_balloon_pages",
-                static_cast<double>(result.host_balloon_pages));
-            result.metrics.set(
-                "host_frames_unbacked",
-                static_cast<double>(result.host_frames_unbacked));
-            result.metrics.set(
-                "churn_boots",
-                static_cast<double>(result.churn_boots));
-        }
-    }
-
-    if (system.dirty_ring_armed()) {
-        result.dirty_ring_armed = true;
-        for (unsigned k = 0; k < system.num_vms(); ++k) {
-            const obs::DirtyRing *ring = system.dirty_ring(k);
-            if (ring == nullptr)
-                continue;
-            result.dirty_ring_logged += ring->stats().logged.value();
-            result.dirty_ring_harvests += ring->stats().harvests.value();
-            result.dirty_ring_epochs += ring->stats().epochs.value();
-        }
-        if (const obs::DirtyRing *ring = system.dirty_ring(0);
-            ring != nullptr && ring->has_estimate()) {
-            result.ws_estimate_pages = ring->estimate_pages();
-        }
-        result.ws_guided_sweeps =
-            system.overcommit_stats().ws_guided_sweeps.value();
-        // Armed-only metric growth, same contract as the fault-plan and
-        // overcommit blocks: disarmed runs keep the golden metric set.
-        result.metrics.set("dirty_ring_logged",
-                           static_cast<double>(result.dirty_ring_logged));
-        result.metrics.set("dirty_ring_epochs",
-                           static_cast<double>(result.dirty_ring_epochs));
-        result.metrics.set("ws_estimate_pages",
-                           static_cast<double>(result.ws_estimate_pages));
-        result.metrics.set("ws_guided_sweeps",
-                           static_cast<double>(result.ws_guided_sweeps));
     }
 
     result.total_ops = system.total_steps();
@@ -393,19 +307,20 @@ PairedResult::improvement_percent() const
 PairedResult
 run_paired(ScenarioConfig config)
 {
-    // A config that names no treatment policy (or names the baseline
-    // itself) gets the paper's default comparison: buddy vs PTEMagnet.
-    std::string treatment = config.resolved_policy();
-    if (treatment == "buddy")
-        treatment = "ptemagnet";
-
     PairedResult result;
     ScenarioConfig baseline = config;
     baseline.policy_name = "buddy";
     result.baseline = run_scenario(baseline);
-    config.policy_name = treatment;
+    config.policy_name = treatment_policy(config);
     result.ptemagnet = run_scenario(config);
     return result;
+}
+
+std::string
+treatment_policy(const ScenarioConfig &config)
+{
+    std::string policy = config.resolved_policy();
+    return policy == "buddy" ? "ptemagnet" : policy;
 }
 
 double

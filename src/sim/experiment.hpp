@@ -326,9 +326,18 @@ struct VmRecord {
     /// Last closed dirty-ring epoch's distinct-dirty-page count (0 when
     /// the ring is disarmed or no epoch closed).
     std::uint64_t ws_estimate_pages = 0;
+
+    bool operator==(const VmRecord &) const = default;
 };
 
-/// Everything a run reports.
+/**
+ * Everything a run reports. Counter telemetry lives in `stats` only:
+ * read it by registry path, e.g. "vm0.provider.part_hits",
+ * "fault_injection.injected_denials", "host.overcommit.oom_kills" or
+ * "vm0.dirty_ring.logged" (guard with has() where only armed or
+ * PTEMagnet runs register the path). The fields below hold what no
+ * single registry counter does.
+ */
 struct ScenarioResult {
     MetricSet metrics;                    ///< Table 1/4 metric set
     /// Full stat-registry snapshot at run end: every component counter
@@ -341,46 +350,18 @@ struct ScenarioResult {
     FragmentationReport fragmentation;    ///< §3.2 metric detail
     /// §6.2: peak (reserved-but-unmapped pages / victim RSS) observed.
     double peak_unused_reservation_fraction = 0.0;
-    /// Provider telemetry (PTEMagnet runs only; zeros otherwise).
-    std::uint64_t reservations_created = 0;
-    std::uint64_t part_hits = 0;
+    /// Buddy calls of VM 0's allocation path: the PTEMagnet provider's
+    /// when it is the policy, else the guest buddy's alloc calls.
     std::uint64_t buddy_calls = 0;
     /// Provider-held but unmapped frames at run end (memory bloat axis
     /// of the policy ablation; any reservation-style policy reports it).
     std::uint64_t provider_held_pages = 0;
-
-    // ---- robustness telemetry (nonzero only under an armed FaultPlan
-    // or genuine memory exhaustion) -----------------------------------
-    bool fault_plan_armed = false;
-    std::uint64_t injected_denials = 0;   ///< buddy calls vetoed by plan
-    std::uint64_t pressure_episodes = 0;  ///< injected episodes opened
-    std::uint64_t reclaim_sweeps = 0;     ///< injected sweeps requested
-    std::uint64_t frames_reclaimed = 0;   ///< frames released by reclaim
-    std::uint64_t fallback_singles = 0;   ///< provider single-frame fallbacks
-    std::uint64_t oom_events = 0;         ///< unserviceable guest faults
-
-    // ---- multi-VM overcommit survival (populated only when the config's
-    // multi_vm() is true; empty/zero for historic single-VM runs) ------
-    std::vector<VmRecord> vms;            ///< one record per VM slot
-    std::uint64_t host_reclaim_sweeps = 0;
-    std::uint64_t host_emergency_sweeps = 0;
-    std::uint64_t host_backoff_waits = 0;
-    std::uint64_t host_balloon_pages = 0;
-    std::uint64_t host_frames_unbacked = 0;
-    std::uint64_t oom_kills = 0;
-    std::uint64_t churn_boots = 0;
-    std::uint64_t churn_kills = 0;
-    std::uint64_t churn_forks = 0;
-    std::uint64_t churn_boot_failures = 0;
-
-    // ---- dirty-ring working-set estimation (populated only when the
-    // config's dirty_ring is armed; zero otherwise) --------------------
-    bool dirty_ring_armed = false;
-    std::uint64_t dirty_ring_logged = 0;    ///< write walks recorded
-    std::uint64_t dirty_ring_harvests = 0;  ///< ring drains
-    std::uint64_t dirty_ring_epochs = 0;    ///< closed epochs (all VMs)
-    std::uint64_t ws_estimate_pages = 0;    ///< VM 0's last estimate
-    std::uint64_t ws_guided_sweeps = 0;     ///< ws-ordered balloon sweeps
+    /// VM 0's last closed dirty-ring epoch estimate (0 when the ring is
+    /// disarmed or no epoch closed).
+    std::uint64_t ws_estimate_pages = 0;
+    /// Per-VM survival records; one per VM slot for multi-VM runs,
+    /// empty for single-VM runs.
+    std::vector<VmRecord> vms;
 
     // ---- simulator-performance provenance (host-side, NOT simulated
     // state: excluded from the determinism comparisons) ---------------
@@ -419,6 +400,10 @@ struct PairedResult {
     double improvement_percent() const;
 };
 PairedResult run_paired(ScenarioConfig config);
+
+/// Policy of a pair's treatment leg: the config's own, upgraded to
+/// PTEMagnet when it names none or names the "buddy" baseline itself.
+std::string treatment_policy(const ScenarioConfig &config);
 
 /// Geometric mean over improvement factors (the paper's "Geomean" bar).
 double geomean_improvement(const std::vector<double> &percents);

@@ -147,15 +147,8 @@ SuiteResult::to_json() const
         }
         e.set("config", sim::to_json(entry.entry.config));
         e.set("status", entry.failed() ? "failed" : "ok");
-        e.set("attempts", entry.attempts);
         if (entry.failed())
             e.set("error", entry.error);
-        if (!entry.attempt_errors.empty()) {
-            Json errors = Json::array();
-            for (const std::string &message : entry.attempt_errors)
-                errors.push_back(message);
-            e.set("errors", std::move(errors));
-        }
         if (entry.is_paired()) {
             e.set("baseline", sim::to_json(entry.paired.baseline));
             e.set("ptemagnet", sim::to_json(entry.paired.ptemagnet));
@@ -294,44 +287,25 @@ ExperimentSuite::run(const SuiteOptions &options) const
     {
         ThreadPool pool(threads);
 
-        // Entry bookkeeping (status / error / attempts) is shared by the
-        // two legs of a paired entry, which may fail concurrently.
+        // Entry status / error is shared by the two legs of a paired
+        // entry, which may fail concurrently.
         std::mutex status_mutex;
-        const unsigned retries = options.retries;
 
-        // One leg: run (with retries) and store into its result slot; a
-        // SimError after the last attempt marks the whole entry Failed.
-        // Anything else — ptm_panic aborts, bad_alloc, logic errors —
-        // escapes to the pool and is rethrown from wait(): crash
-        // isolation covers *recoverable* per-run errors only.
-        auto run_leg = [&status_mutex, retries](EntryResult &slot,
-                                                ScenarioResult &out,
-                                                ScenarioConfig config) {
-            for (unsigned attempt = 0;; ++attempt) {
-                {
-                    std::lock_guard<std::mutex> lock(status_mutex);
-                    ++slot.attempts;
-                }
-                try {
-                    out = run_scenario(config);
-                    return;
-                } catch (const SimError &e) {
-                    {
-                        // Record every attempt's error, not just the one
-                        // that exhausted the retries: a retried-then-
-                        // green leg stays distinguishable from a clean
-                        // one in the entry JSON.
-                        std::lock_guard<std::mutex> lock(status_mutex);
-                        slot.attempt_errors.push_back(e.what());
-                    }
-                    if (attempt < retries)
-                        continue;
-                    std::lock_guard<std::mutex> lock(status_mutex);
-                    slot.status = EntryStatus::Failed;
-                    if (slot.error.empty())
-                        slot.error = e.what();
-                    return;
-                }
+        // One leg: run and store into its result slot; a SimError marks
+        // the whole entry Failed. Anything else — ptm_panic aborts,
+        // bad_alloc, logic errors — escapes to the pool and is rethrown
+        // from wait(): crash isolation covers *recoverable* per-run
+        // errors only.
+        auto run_leg = [&status_mutex](EntryResult &slot,
+                                       ScenarioResult &out,
+                                       const ScenarioConfig &config) {
+            try {
+                out = run_scenario(config);
+            } catch (const SimError &e) {
+                std::lock_guard<std::mutex> lock(status_mutex);
+                slot.status = EntryStatus::Failed;
+                if (slot.error.empty())
+                    slot.error = e.what();
             }
         };
 
@@ -342,19 +316,12 @@ ExperimentSuite::run(const SuiteOptions &options) const
                 pool.submit([&run_leg, &slot]() {
                     ScenarioConfig config = slot.entry.config;
                     config.policy_name = "buddy";
-                    run_leg(slot, slot.paired.baseline, std::move(config));
+                    run_leg(slot, slot.paired.baseline, config);
                 });
                 pool.submit([&run_leg, &slot]() {
                     ScenarioConfig config = slot.entry.config;
-                    // Same treatment rule as run_paired: the config's own
-                    // policy, upgraded to PTEMagnet when it IS the
-                    // baseline.
-                    std::string treatment = config.resolved_policy();
-                    if (treatment == "buddy")
-                        treatment = "ptemagnet";
-                    config.policy_name = std::move(treatment);
-                    run_leg(slot, slot.paired.ptemagnet,
-                            std::move(config));
+                    config.policy_name = treatment_policy(config);
+                    run_leg(slot, slot.paired.ptemagnet, config);
                 });
             } else {
                 pool.submit([&run_leg, &slot]() {
@@ -518,64 +485,32 @@ to_json(const ScenarioResult &result)
 
     j.set("peak_unused_reservation_fraction",
           result.peak_unused_reservation_fraction);
-    j.set("reservations_created", result.reservations_created);
-    j.set("part_hits", result.part_hits);
     j.set("buddy_calls", result.buddy_calls);
     j.set("provider_held_pages", result.provider_held_pages);
+    j.set("ws_estimate_pages", result.ws_estimate_pages);
 
-    Json rob = Json::object();
-    rob.set("fault_plan_armed", result.fault_plan_armed);
-    rob.set("injected_denials", result.injected_denials);
-    rob.set("pressure_episodes", result.pressure_episodes);
-    rob.set("reclaim_sweeps", result.reclaim_sweeps);
-    rob.set("frames_reclaimed", result.frames_reclaimed);
-    rob.set("fallback_singles", result.fallback_singles);
-    rob.set("oom_events", result.oom_events);
-    // Overcommit-survival telemetry, present only for multi-VM runs so
-    // historic single-VM documents keep their exact shape.
+    // Per-VM survival records, present only for multi-VM runs; every
+    // counter lives in the "stats" block below.
     if (!result.vms.empty()) {
-        rob.set("host_reclaim_sweeps", result.host_reclaim_sweeps);
-        rob.set("host_emergency_sweeps", result.host_emergency_sweeps);
-        rob.set("host_backoff_waits", result.host_backoff_waits);
-        rob.set("host_balloon_pages", result.host_balloon_pages);
-        rob.set("host_frames_unbacked", result.host_frames_unbacked);
-        rob.set("oom_kills", result.oom_kills);
-        rob.set("churn_boots", result.churn_boots);
-        rob.set("churn_kills", result.churn_kills);
-        rob.set("churn_forks", result.churn_forks);
-        rob.set("churn_boot_failures", result.churn_boot_failures);
         Json vms = Json::array();
         for (const VmRecord &rec : result.vms) {
             Json v = Json::object();
             v.set("vm", rec.vm);
             v.set("status", rec.status);
-            if (!rec.status_detail.empty())
-                v.set("status_detail", rec.status_detail);
+            v.set("status_detail", rec.status_detail);
             v.set("balloon_pages", rec.balloon_pages);
             v.set("frames_repossessed", rec.frames_repossessed);
             v.set("backed_pages", rec.backed_pages);
             v.set("walk_cycles", rec.walk_cycles);
             v.set("ops", rec.ops);
             v.set("oom_events", rec.oom_events);
-            // Present only under an armed ring, so pre-ring multi-VM
-            // documents keep their exact per-VM shape.
-            if (result.dirty_ring_armed)
-                v.set("ws_estimate_pages", rec.ws_estimate_pages);
+            v.set("ws_estimate_pages", rec.ws_estimate_pages);
             vms.push_back(std::move(v));
         }
+        Json rob = Json::object();
         rob.set("vms", std::move(vms));
+        j.set("robustness", std::move(rob));
     }
-    // Working-set estimation telemetry, present only under an armed ring.
-    if (result.dirty_ring_armed) {
-        Json ring = Json::object();
-        ring.set("logged", result.dirty_ring_logged);
-        ring.set("harvests", result.dirty_ring_harvests);
-        ring.set("epochs", result.dirty_ring_epochs);
-        ring.set("ws_estimate_pages", result.ws_estimate_pages);
-        ring.set("ws_guided_sweeps", result.ws_guided_sweeps);
-        rob.set("dirty_ring", std::move(ring));
-    }
-    j.set("robustness", std::move(rob));
 
     Json perf = Json::object();
     perf.set("host_seconds", result.host_seconds);
@@ -628,85 +563,24 @@ scenario_result_from_json(const Json &json)
 
     result.peak_unused_reservation_fraction =
         json.at("peak_unused_reservation_fraction").as_double();
-    result.reservations_created =
-        json.at("reservations_created").as_u64();
-    result.part_hits = json.at("part_hits").as_u64();
     result.buddy_calls = json.at("buddy_calls").as_u64();
-    // Older BENCH files predate the memory-bloat axis; leave the zero.
-    if (json.contains("provider_held_pages"))
-        result.provider_held_pages =
-            json.at("provider_held_pages").as_u64();
+    result.provider_held_pages = json.at("provider_held_pages").as_u64();
+    result.ws_estimate_pages = json.at("ws_estimate_pages").as_u64();
 
-    // Older BENCH files predate the robustness block; leave the zeros.
     if (json.contains("robustness")) {
-        const Json &rob = json.at("robustness");
-        result.fault_plan_armed = rob.at("fault_plan_armed").as_bool();
-        result.injected_denials = rob.at("injected_denials").as_u64();
-        result.pressure_episodes = rob.at("pressure_episodes").as_u64();
-        result.reclaim_sweeps = rob.at("reclaim_sweeps").as_u64();
-        result.frames_reclaimed = rob.at("frames_reclaimed").as_u64();
-        result.fallback_singles = rob.at("fallback_singles").as_u64();
-        result.oom_events = rob.at("oom_events").as_u64();
-        // Each multi-VM key guarded on its own: documents from single-VM
-        // runs (and older BENCH files) simply lack them.
-        if (rob.contains("host_reclaim_sweeps"))
-            result.host_reclaim_sweeps =
-                rob.at("host_reclaim_sweeps").as_u64();
-        if (rob.contains("host_emergency_sweeps"))
-            result.host_emergency_sweeps =
-                rob.at("host_emergency_sweeps").as_u64();
-        if (rob.contains("host_backoff_waits"))
-            result.host_backoff_waits =
-                rob.at("host_backoff_waits").as_u64();
-        if (rob.contains("host_balloon_pages"))
-            result.host_balloon_pages =
-                rob.at("host_balloon_pages").as_u64();
-        if (rob.contains("host_frames_unbacked"))
-            result.host_frames_unbacked =
-                rob.at("host_frames_unbacked").as_u64();
-        if (rob.contains("oom_kills"))
-            result.oom_kills = rob.at("oom_kills").as_u64();
-        if (rob.contains("churn_boots"))
-            result.churn_boots = rob.at("churn_boots").as_u64();
-        if (rob.contains("churn_kills"))
-            result.churn_kills = rob.at("churn_kills").as_u64();
-        if (rob.contains("churn_forks"))
-            result.churn_forks = rob.at("churn_forks").as_u64();
-        if (rob.contains("churn_boot_failures"))
-            result.churn_boot_failures =
-                rob.at("churn_boot_failures").as_u64();
-        if (rob.contains("vms")) {
-            for (const Json &v : rob.at("vms").as_array()) {
-                VmRecord rec;
-                rec.vm = static_cast<unsigned>(v.at("vm").as_u64());
-                rec.status = v.at("status").as_string();
-                if (v.contains("status_detail"))
-                    rec.status_detail =
-                        v.at("status_detail").as_string();
-                rec.balloon_pages = v.at("balloon_pages").as_u64();
-                rec.frames_repossessed =
-                    v.at("frames_repossessed").as_u64();
-                rec.backed_pages = v.at("backed_pages").as_u64();
-                rec.walk_cycles = v.at("walk_cycles").as_u64();
-                rec.ops = v.at("ops").as_u64();
-                rec.oom_events = v.at("oom_events").as_u64();
-                if (v.contains("ws_estimate_pages"))
-                    rec.ws_estimate_pages =
-                        v.at("ws_estimate_pages").as_u64();
-                result.vms.push_back(std::move(rec));
-            }
-        }
-        // Pre-ring BENCH files lack the block; leave the zeros.
-        if (rob.contains("dirty_ring")) {
-            const Json &ring = rob.at("dirty_ring");
-            result.dirty_ring_armed = true;
-            result.dirty_ring_logged = ring.at("logged").as_u64();
-            result.dirty_ring_harvests = ring.at("harvests").as_u64();
-            result.dirty_ring_epochs = ring.at("epochs").as_u64();
-            result.ws_estimate_pages =
-                ring.at("ws_estimate_pages").as_u64();
-            result.ws_guided_sweeps =
-                ring.at("ws_guided_sweeps").as_u64();
+        for (const Json &v : json.at("robustness").at("vms").as_array()) {
+            VmRecord rec;
+            rec.vm = static_cast<unsigned>(v.at("vm").as_u64());
+            rec.status = v.at("status").as_string();
+            rec.status_detail = v.at("status_detail").as_string();
+            rec.balloon_pages = v.at("balloon_pages").as_u64();
+            rec.frames_repossessed = v.at("frames_repossessed").as_u64();
+            rec.backed_pages = v.at("backed_pages").as_u64();
+            rec.walk_cycles = v.at("walk_cycles").as_u64();
+            rec.ops = v.at("ops").as_u64();
+            rec.oom_events = v.at("oom_events").as_u64();
+            rec.ws_estimate_pages = v.at("ws_estimate_pages").as_u64();
+            result.vms.push_back(std::move(rec));
         }
     }
 
@@ -714,23 +588,20 @@ scenario_result_from_json(const Json &json)
     result.host_seconds = perf.at("host_seconds").as_double();
     result.total_ops = perf.at("total_ops").as_u64();
 
-    // Older BENCH files predate the stats block; leave it empty.
-    if (json.contains("stats")) {
-        for (const auto &[path, value] : json.at("stats").as_object()) {
-            if (value.is_object()) {
-                obs::HistogramSummary h;
-                h.count = value.at("count").as_u64();
-                h.sum = value.at("sum").as_u64();
-                h.min = value.at("min").as_u64();
-                h.max = value.at("max").as_u64();
-                h.mean = value.at("mean").as_double();
-                h.p50 = value.at("p50").as_u64();
-                h.p90 = value.at("p90").as_u64();
-                h.p99 = value.at("p99").as_u64();
-                result.stats.add_histogram(path, h);
-            } else {
-                result.stats.add_counter(path, value.as_double());
-            }
+    for (const auto &[path, value] : json.at("stats").as_object()) {
+        if (value.is_object()) {
+            obs::HistogramSummary h;
+            h.count = value.at("count").as_u64();
+            h.sum = value.at("sum").as_u64();
+            h.min = value.at("min").as_u64();
+            h.max = value.at("max").as_u64();
+            h.mean = value.at("mean").as_double();
+            h.p50 = value.at("p50").as_u64();
+            h.p90 = value.at("p90").as_u64();
+            h.p99 = value.at("p99").as_u64();
+            result.stats.add_histogram(path, h);
+        } else {
+            result.stats.add_counter(path, value.as_double());
         }
     }
     return result;

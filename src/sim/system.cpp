@@ -209,14 +209,6 @@ System::set_policy(unsigned index, const std::string &name,
 }
 
 void
-System::enable_ptemagnet(unsigned group_pages)
-{
-    set_policy("ptemagnet",
-               PolicyParams{{"group_pages",
-                             static_cast<double>(group_pages)}});
-}
-
-void
 System::arm_fault_injection(FaultInjector &injector)
 {
     for (auto &slot : slots_)

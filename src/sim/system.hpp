@@ -179,12 +179,6 @@ class System {
         set_policy(0, name, params);
     }
 
-    /// Switch VM 0 to PTEMagnet (call before any job runs). Equivalent
-    /// to set_policy("ptemagnet", {{"group_pages", ...}}).
-    /// @param group_pages reservation granularity (ablation knob).
-    void enable_ptemagnet(unsigned group_pages = kPagesPerReservation);
-    bool ptemagnet_enabled() const { return ptemagnet(0) != nullptr; }
-
     /**
      * Arm deterministic fault injection: hand @p injector's gates to the
      * host buddy and every guest buddy (current and future VMs) and its
@@ -201,15 +195,6 @@ class System {
      * "host.overcommit".
      */
     void set_overcommit(const OvercommitPolicy &policy);
-    bool overcommit_armed() const { return overcommit_.armed(); }
-    const OvercommitStats &overcommit_stats() const { return ocstats_; }
-
-    /// Exclude / include VM @p index as an OOM-kill candidate.
-    void
-    set_oom_protected(unsigned index, bool protect)
-    {
-        slot_at(index).oom_protected = protect;
-    }
 
     /**
      * Install the seeded churn schedule (call at most once, before
@@ -229,7 +214,6 @@ class System {
      * idle-memory order. Disarmed, the hot path pays one bool check.
      */
     void arm_dirty_ring(const DirtyRingConfig &config);
-    bool dirty_ring_armed() const { return dirty_log_armed_; }
     /// VM @p index's ring, or nullptr when disarmed.
     const obs::DirtyRing *
     dirty_ring(unsigned index) const

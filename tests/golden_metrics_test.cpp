@@ -72,8 +72,11 @@ snapshot_of(const ScenarioResult &r)
     s["frag.groups"] = static_cast<double>(r.fragmentation.groups);
     s["peak_unused_reservation_fraction"] =
         r.peak_unused_reservation_fraction;
-    s["reservations_created"] = static_cast<double>(r.reservations_created);
-    s["part_hits"] = static_cast<double>(r.part_hits);
+    // PTEMagnet counters; the baseline registers no provider subtree.
+    for (const char *name : {"reservations_created", "part_hits"}) {
+        const std::string path = std::string("vm0.provider.") + name;
+        s[name] = r.stats.has(path) ? r.stats.value(path) : 0.0;
+    }
     s["buddy_calls"] = static_cast<double>(r.buddy_calls);
     s["total_ops"] = static_cast<double>(r.total_ops);
     return s;

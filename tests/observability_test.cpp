@@ -19,6 +19,7 @@
 #include "obs/trace_sink.hpp"
 #include "sim/experiment.hpp"
 #include "sim/json.hpp"
+#include "sim/suite.hpp"
 #include "sim/system.hpp"
 #include "workload/catalog.hpp"
 
@@ -118,6 +119,64 @@ TEST(StatRegistry, ResetHonorsScope)
 
     registry.reset(ResetScope::Lifetime);
     EXPECT_EQ(lifetime.value(), 0u);
+}
+
+// ---- snapshot equality ----------------------------------------------
+
+obs::HistogramSummary
+summary_with_p99(std::uint64_t p99)
+{
+    obs::HistogramSummary h;
+    h.count = 10;
+    h.sum = 100;
+    h.max = p99;
+    h.mean = 10.0;
+    h.p50 = 8;
+    h.p90 = 16;
+    h.p99 = p99;
+    return h;
+}
+
+TEST(StatSnapshotEquality, OneCounterApartComparesUnequal)
+{
+    StatSnapshot a;
+    a.add_counter("vm0.buddy.alloc_calls", 5);
+    a.add_counter("vm0.buddy.free_calls", 2);
+    StatSnapshot b = a;
+    EXPECT_TRUE(a == b);
+
+    StatSnapshot c;
+    c.add_counter("vm0.buddy.alloc_calls", 5);
+    c.add_counter("vm0.buddy.free_calls", 3);
+    EXPECT_FALSE(a == c);
+}
+
+TEST(StatSnapshotEquality, OneHistogramP99ApartComparesUnequal)
+{
+    StatSnapshot a;
+    a.add_histogram("vm0.core0.walker.walk_cycles_hist",
+                    summary_with_p99(64));
+    StatSnapshot b;
+    b.add_histogram("vm0.core0.walker.walk_cycles_hist",
+                    summary_with_p99(64));
+    EXPECT_TRUE(a == b);
+
+    StatSnapshot c;
+    obs::HistogramSummary h = summary_with_p99(64);
+    h.p99 = 128;
+    c.add_histogram("vm0.core0.walker.walk_cycles_hist", h);
+    EXPECT_FALSE(a == c);
+}
+
+TEST(StatSnapshotEquality, EntryOrderMatters)
+{
+    StatSnapshot a;
+    a.add_counter("host.kernel.faults_handled", 1);
+    a.add_counter("vm0.kernel.faults_handled", 2);
+    StatSnapshot b;
+    b.add_counter("vm0.kernel.faults_handled", 2);
+    b.add_counter("host.kernel.faults_handled", 1);
+    EXPECT_FALSE(a == b);
 }
 
 // ---- histogram percentiles vs a reference sort ---------------------
@@ -255,7 +314,7 @@ MetricSet
 run_traced(TraceSink *sink)
 {
     sim::System system(tiny_platform(), 2);
-    system.enable_ptemagnet();
+    system.set_policy("ptemagnet");
     if (sink != nullptr)
         system.set_trace_sink(sink);
     workload::WorkloadOptions options;
@@ -317,7 +376,7 @@ TEST(SystemObservability, TraceCarriesWalkAndFaultEvents)
 TEST(SystemObservability, RegistryCoversEveryLayer)
 {
     sim::System system(tiny_platform(), 1);
-    system.enable_ptemagnet();
+    system.set_policy("ptemagnet");
     workload::WorkloadOptions options;
     options.scale = 0.125;
     sim::Job &job =
@@ -370,6 +429,24 @@ TEST(SystemObservability, ScenarioResultCarriesStatsBlock)
     EXPECT_GT(
         result.stats.histogram("vm0.core0.walker.walk_cycles_hist").count,
         0u);
+}
+
+TEST(StatSnapshotEquality, JsonRoundTripComparesEqual)
+{
+    sim::ScenarioConfig config;
+    config.victim = "pagerank";
+    config.scale = 0.125;
+    config.measure_ops = 20'000;
+    config.corunner_warmup_ops = 0;
+    config.platform = tiny_platform();
+    const sim::ScenarioResult result =
+        sim::run_scenario(config.with_ptemagnet());
+    ASSERT_FALSE(result.stats.empty());
+
+    const sim::ScenarioResult back = sim::scenario_result_from_json(
+        sim::Json::parse(sim::to_json(result).dump(2)));
+    EXPECT_TRUE(back.stats == result.stats);
+    EXPECT_TRUE(back.vms == result.vms);
 }
 
 }  // namespace

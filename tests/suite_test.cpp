@@ -171,9 +171,8 @@ expect_identical(const ScenarioResult &a, const ScenarioResult &b)
     EXPECT_EQ(a.fragmentation.groups, b.fragmentation.groups);
     EXPECT_EQ(a.peak_unused_reservation_fraction,
               b.peak_unused_reservation_fraction);
-    EXPECT_EQ(a.reservations_created, b.reservations_created);
-    EXPECT_EQ(a.part_hits, b.part_hits);
     EXPECT_EQ(a.buddy_calls, b.buddy_calls);
+    EXPECT_TRUE(a.stats == b.stats);
 }
 
 // ---- ExperimentSuite --------------------------------------------------
@@ -212,8 +211,11 @@ TEST(SuiteTest, PairedEntryRunsBothPolicies)
     ASSERT_TRUE(entry.is_paired());
     // The baseline leg never creates reservations; the PTEMagnet leg
     // must.
-    EXPECT_EQ(entry.paired.baseline.reservations_created, 0u);
-    EXPECT_GT(entry.paired.ptemagnet.reservations_created, 0u);
+    EXPECT_FALSE(entry.paired.baseline.stats.has(
+        "vm0.provider.reservations_created"));
+    EXPECT_GT(entry.paired.ptemagnet.stats.value(
+                  "vm0.provider.reservations_created"),
+              0.0);
     // And the pair matches what the serial primitive produces.
     PairedResult direct = run_paired(tiny_config("pagerank"));
     expect_identical(entry.paired.baseline, direct.baseline);
@@ -235,8 +237,8 @@ TEST(SuiteTest, SweepRegistersNamedVariants)
     // Wider groups -> at least as few reservations created.
     const EntryResult &narrow =
         result.at("pagerank/reservation_pages=4");
-    EXPECT_LE(wide.single.reservations_created,
-              narrow.single.reservations_created);
+    EXPECT_LE(wide.single.stats.value("vm0.provider.reservations_created"),
+              narrow.single.stats.value("vm0.provider.reservations_created"));
 }
 
 TEST(SuiteTest, GeomeanCoversOnlyPairedEntries)
